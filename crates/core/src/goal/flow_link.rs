@@ -64,6 +64,13 @@ impl FlowLink {
         &mut self.tags
     }
 
+    /// This goal's tag source, for state canonicalization only.
+    #[doc(hidden)]
+    #[inline]
+    pub fn tags(&self) -> &TagSource {
+        &self.tags
+    }
+
     /// A fresh `flowLink` goal.
     pub fn new(tag_origin: u64) -> Self {
         Self {

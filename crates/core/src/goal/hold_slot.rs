@@ -30,6 +30,13 @@ impl HoldSlot {
         &mut self.tags
     }
 
+    /// This goal's tag source, for state canonicalization only.
+    #[doc(hidden)]
+    #[inline]
+    pub fn tags(&self) -> &TagSource {
+        &self.tags
+    }
+
     /// `holdSlot(s)` with a server (masquerading, both-muted) policy —
     /// the normal case: "when any of these goal objects opens or accepts a
     /// channel, it mutes media flow on the channel in both directions".

@@ -29,6 +29,13 @@ impl OpenSlot {
         &mut self.tags
     }
 
+    /// This goal's tag source, for state canonicalization only.
+    #[doc(hidden)]
+    #[inline]
+    pub fn tags(&self) -> &TagSource {
+        &self.tags
+    }
+
     /// `openSlot(s, m)` with a server (masquerading, both-muted) policy.
     pub fn server(medium: Medium, tag_origin: u64) -> Self {
         Self::with_policy(medium, Policy::Server, tag_origin)

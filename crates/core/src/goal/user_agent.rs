@@ -74,6 +74,13 @@ impl UserAgent {
         &mut self.tags
     }
 
+    /// This goal's tag source, for state canonicalization only.
+    #[doc(hidden)]
+    #[inline]
+    pub fn tags(&self) -> &TagSource {
+        &self.tags
+    }
+
     /// A user agent with the given endpoint policy and accept mode.
     pub fn new(policy: EndpointPolicy, accept_mode: AcceptMode, tag_origin: u64) -> Self {
         Self {

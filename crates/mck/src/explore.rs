@@ -17,7 +17,11 @@
 //! renumbers descriptor generations), so symmetric interleavings that
 //! differ only in tag history collapse in the seen-set before they are
 //! ever expanded; the `dedup_hits` counter reports how many transitions
-//! landed on an already-interned state.
+//! landed on an already-interned state. The seen-set index maps a state
+//! hash to the newest state with that hash and chains older ones through
+//! a flat `next` array, so interning a state allocates nothing beyond the
+//! state itself — and a copy-on-write state shares its unchanged
+//! components with its parent.
 
 use crate::state::{Action, CheckConfig, PathState};
 use std::collections::HashMap;
@@ -117,7 +121,25 @@ impl Hasher for PreHashed {
     }
 }
 
-type HashIndex = HashMap<u64, Vec<u32>, BuildHasherDefault<PreHashed>>;
+/// State hash → the newest id (arena index or pending handle) with that
+/// hash. Older ids with the same hash chain through a `next` link, so
+/// interning a state allocates no per-hash bucket.
+type HashIndex = HashMap<u64, u32, BuildHasherDefault<PreHashed>>;
+
+/// End of a same-hash chain.
+const NIL: u32 = u32::MAX;
+
+/// Walk the same-hash chain starting at `hash`'s head for an id `is`
+/// accepts.
+fn find_chained(
+    index: &HashIndex,
+    hash: u64,
+    next: impl Fn(u32) -> u32,
+    is: impl Fn(u32) -> bool,
+) -> Option<u32> {
+    let head = index.get(&hash).copied();
+    std::iter::successors(head, |&id| Some(next(id)).filter(|&n| n != NIL)).find(|&id| is(id))
+}
 
 /// Hash a canonical state with [`FxHasher`].
 pub fn state_hash(s: &PathState) -> u64 {
@@ -276,15 +298,38 @@ struct Pending {
     parent: u32,
     ordinal: u16,
     action: Action,
+    /// Next-older pending handle with the same hash, or [`NIL`].
+    next: u32,
 }
 
 #[derive(Default)]
 struct Shard {
-    /// Committed states: state hash → indices of states with that hash.
+    /// Committed states: state hash → newest index with that hash, older
+    /// ones chained through the engine's `next` array.
     known: HashIndex,
-    /// This level's discoveries: state hash → pending handles.
+    /// This level's discoveries: state hash → newest pending handle,
+    /// older ones chained through [`Pending::next`].
     pending_index: HashIndex,
     pending: Vec<Pending>,
+}
+
+/// The committed seen-set as workers read it: the arena and its
+/// same-hash chain links (`next[id]` for arena index `id`).
+#[derive(Clone, Copy)]
+struct Committed<'a> {
+    arena: &'a [PathState],
+    next: &'a [u32],
+}
+
+impl Committed<'_> {
+    fn lookup(&self, known: &HashIndex, hash: u64, s: &PathState) -> Option<u32> {
+        find_chained(
+            known,
+            hash,
+            |id| self.next[id as usize],
+            |id| self.arena[id as usize] == *s,
+        )
+    }
 }
 
 /// Output of one worker for one contiguous chunk of the level: per state,
@@ -297,7 +342,7 @@ struct ChunkOut {
 /// Expand the states `lo..hi` of the arena against the shared seen-set.
 fn expand_chunk(
     cfg: &CheckConfig,
-    arena: &[PathState],
+    committed: Committed,
     shards: &[Mutex<Shard>],
     lo: u32,
     hi: u32,
@@ -305,7 +350,7 @@ fn expand_chunk(
     let mut rows = Vec::with_capacity((hi - lo) as usize);
     let mut dedup_hits = 0u64;
     for i in lo..hi {
-        let state = &arena[i as usize];
+        let state = &committed.arena[i as usize];
         let actions = state.actions(cfg);
         if actions.is_empty() {
             rows.push((true, Vec::new()));
@@ -317,7 +362,7 @@ fn expand_chunk(
             let hash = state_hash(&next);
             let shard_id = shard_of(hash);
             let mut shard = shards[shard_id].lock().expect("shard lock");
-            if let Some(id) = lookup_known(&shard.known, arena, hash, &next) {
+            if let Some(id) = committed.lookup(&shard.known, hash, &next) {
                 dedup_hits += 1;
                 edges.push(Edge::Known(id));
                 continue;
@@ -340,14 +385,15 @@ fn expand_chunk(
                 continue;
             }
             let handle = shard.pending.len() as u32;
+            let older = shard.pending_index.insert(hash, handle);
             shard.pending.push(Pending {
                 hash,
                 state: next,
                 parent: i,
                 ordinal,
                 action,
+                next: older.unwrap_or(NIL),
             });
-            shard.pending_index.entry(hash).or_default().push(handle);
             edges.push(Edge::New {
                 shard: shard_id as u32,
                 handle,
@@ -358,21 +404,13 @@ fn expand_chunk(
     ChunkOut { rows, dedup_hits }
 }
 
-fn lookup_known(known: &HashIndex, arena: &[PathState], hash: u64, s: &PathState) -> Option<u32> {
-    known
-        .get(&hash)?
-        .iter()
-        .copied()
-        .find(|&id| arena[id as usize] == *s)
-}
-
 fn lookup_pending(shard: &Shard, hash: u64, s: &PathState) -> Option<u32> {
-    shard
-        .pending_index
-        .get(&hash)?
-        .iter()
-        .copied()
-        .find(|&h| shard.pending[h as usize].state == *s)
+    find_chained(
+        &shard.pending_index,
+        hash,
+        |h| shard.pending[h as usize].next,
+        |h| shard.pending[h as usize].state == *s,
+    )
 }
 
 /// Explore the reachable state space of `cfg`, expanding at most
@@ -396,11 +434,10 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
         .get_mut()
         .expect("unshared shard")
         .known
-        .entry(initial_hash)
-        .or_default()
-        .push(0);
+        .insert(initial_hash, 0);
 
     let mut arena: Vec<PathState> = vec![initial];
+    let mut next: Vec<u32> = vec![NIL];
     let mut flags: Vec<StateFlags> = vec![StateFlags::of(&arena[0])];
     let mut parent: Vec<Option<(u32, Action)>> = vec![None];
     let mut succ: Vec<Vec<u32>> = vec![Vec::new()];
@@ -426,13 +463,16 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
 
         // Phase A: expand this level's prefix in parallel chunks.
         let outs: Vec<ChunkOut> = {
-            let arena_ref: &[PathState] = &arena;
+            let committed = Committed {
+                arena: &arena,
+                next: &next,
+            };
             let shards_ref: &[Mutex<Shard>] = &shards;
             let workers = threads.min(take);
             if workers <= 1 {
                 vec![expand_chunk(
                     cfg,
-                    arena_ref,
+                    committed,
                     shards_ref,
                     level_start as u32,
                     (level_start + take) as u32,
@@ -445,7 +485,7 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
                             let lo = (level_start + w * chunk).min(level_start + take);
                             let hi = (lo + chunk).min(level_start + take);
                             scope.spawn(move || {
-                                expand_chunk(cfg, arena_ref, shards_ref, lo as u32, hi as u32)
+                                expand_chunk(cfg, committed, shards_ref, lo as u32, hi as u32)
                             })
                         })
                         .collect();
@@ -484,13 +524,12 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
             flags.push(StateFlags::of(&p.state));
             parent.push(Some((p.parent, p.action)));
             succ.push(Vec::new());
-            shards[shard_of(p.hash)]
+            let older = shards[shard_of(p.hash)]
                 .get_mut()
                 .expect("unshared shard")
                 .known
-                .entry(p.hash)
-                .or_default()
-                .push(id);
+                .insert(p.hash, id);
+            next.push(older.unwrap_or(NIL));
             arena.push(p.state);
             resolve[shard_id as usize][handle as usize] = id;
         }
@@ -546,6 +585,8 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
 pub struct SeenSet {
     by_hash: HashIndex,
     states: Vec<PathState>,
+    /// Same-hash chain links, one per state.
+    next: Vec<u32>,
 }
 
 impl SeenSet {
@@ -557,11 +598,16 @@ impl SeenSet {
     /// an equal state was already present.
     pub fn insert(&mut self, s: PathState) -> (u32, bool) {
         let hash = state_hash(&s);
-        if let Some(id) = lookup_known(&self.by_hash, &self.states, hash, &s) {
+        let committed = Committed {
+            arena: &self.states,
+            next: &self.next,
+        };
+        if let Some(id) = committed.lookup(&self.by_hash, hash, &s) {
             return (id, false);
         }
         let id = self.states.len() as u32;
-        self.by_hash.entry(hash).or_default().push(id);
+        let older = self.by_hash.insert(hash, id);
+        self.next.push(older.unwrap_or(NIL));
         self.states.push(s);
         (id, true)
     }
@@ -705,6 +751,20 @@ mod tests {
         assert!(!g.truncated);
         assert_eq!(g.transitions as u64, (g.states() - 1) as u64 + g.dedup_hits);
         assert!(g.dedup_hits > 0, "interleavings must collapse");
+    }
+
+    #[test]
+    fn same_hash_chains_are_walked_to_the_end() {
+        // Ids 0, 1 and 2 share one hash: the index holds the newest, and
+        // each links to the next-older one.
+        let mut index = HashIndex::default();
+        index.insert(7, 2);
+        let next = [NIL, 0, 1];
+        let walk = |want: u32| find_chained(&index, 7, |id| next[id as usize], |id| id == want);
+        assert_eq!(walk(2), Some(2));
+        assert_eq!(walk(0), Some(0));
+        assert_eq!(walk(3), None);
+        assert_eq!(find_chained(&index, 8, |_| NIL, |_| true), None);
     }
 
     #[test]

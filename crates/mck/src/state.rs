@@ -14,6 +14,13 @@
 //! the Java implementation — the states here embed the *actual* library
 //! types ([`Slot`], [`FlowLink`], [`OpenSlot`], …): the checker executes
 //! the shipped implementation code.
+//!
+//! States are copy-on-write: the boxes and tunnels sit behind [`Arc`], so
+//! a successor shares every component its action leaves alone with its
+//! parent (and with every sibling and interned state that does the same)
+//! — Spin's COLLAPSE idea of storing each component once rather than
+//! once per state. Hashing and equality see through the `Arc`s, so a
+//! state's hash is exactly that of the same values stored inline.
 
 use ipmedia_core::codec::Medium;
 use ipmedia_core::descriptor::{DescTag, MediaAddr, TagSource};
@@ -26,7 +33,9 @@ use ipmedia_core::reliable;
 use ipmedia_core::retag::Retag;
 use ipmedia_core::signal::Signal;
 use ipmedia_core::slot::{Slot, SlotAction, SlotState};
-use std::collections::{BTreeMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Exploration bounds and path shape.
 #[derive(Debug, Clone, Copy)]
@@ -142,16 +151,18 @@ pub struct Tunnel {
     pub lost_bwd: u8,
 }
 
-/// A global state of the signaling path.
+/// A global state of the signaling path. Cloning copies only the
+/// component pointers; a transition copies a component (`Arc::make_mut`)
+/// only when it changes it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PathState {
-    pub left: EndBox,
-    pub links: Vec<LinkBox>,
-    pub right: EndBox,
+    pub left: Arc<EndBox>,
+    pub links: Vec<Arc<LinkBox>>,
+    pub right: Arc<EndBox>,
     /// `tunnels[t]` connects element `t` to element `t + 1`, where element
     /// 0 is the left endpoint, elements 1..=links are flowlink boxes, and
     /// element links+1 is the right endpoint.
-    pub tunnels: Vec<Tunnel>,
+    pub tunnels: Vec<Arc<Tunnel>>,
 }
 
 /// A nondeterministic user/phase action.
@@ -256,19 +267,17 @@ impl PathState {
                     budget: cfg.link_phase1_budget,
                 },
             })
+            .map(Arc::new)
             .collect();
-        let tunnels = vec![
-            Tunnel {
-                faults_left: cfg.fault_budget,
-                ..Tunnel::default()
-            };
-            cfg.links + 1
-        ];
+        let tunnel = Arc::new(Tunnel {
+            faults_left: cfg.fault_budget,
+            ..Tunnel::default()
+        });
         let mut s = Self {
-            left,
+            left: Arc::new(left),
             links,
-            right,
-            tunnels,
+            right: Arc::new(right),
+            tunnels: vec![tunnel; cfg.links + 1],
         };
         s.canonicalize();
         s
@@ -355,60 +364,98 @@ impl PathState {
     /// Apply an action, producing the canonicalized successor state.
     pub fn apply(&self, cfg: &CheckConfig, action: Action) -> PathState {
         let mut s = self.clone();
+        s.step(cfg, action);
+        s.canonicalize();
+        s
+    }
+
+    /// Perform an action in place, copying only the components it
+    /// touches; the result is not yet canonical.
+    fn step(&mut self, cfg: &CheckConfig, action: Action) {
         let reack = cfg.fault_budget > 0;
         match action {
             Action::DeliverFwd(t) => {
-                let sig = s.tunnels[t].fwd.pop_front().expect("enabled action");
-                s.deliver(t + 1, true, sig, reack);
+                let sig = self.tunnel(t).fwd.pop_front().expect("enabled action");
+                self.deliver(t + 1, true, sig, reack);
             }
             Action::DeliverBwd(t) => {
-                let sig = s.tunnels[t].bwd.pop_front().expect("enabled action");
-                s.deliver(t, false, sig, reack);
+                let sig = self.tunnel(t).bwd.pop_front().expect("enabled action");
+                self.deliver(t, false, sig, reack);
             }
-            Action::EndNondet { right, op } => s.end_nondet(right, op),
-            Action::EndAttach { right } => s.end_attach(cfg, right),
-            Action::EndModify { right, op } => s.end_modify(right, op),
-            Action::LinkNondet { idx, side, op } => s.link_nondet(idx, side, op),
-            Action::LinkAttach { idx } => s.link_attach(idx),
+            Action::EndNondet { right, op } => self.end_nondet(right, op),
+            Action::EndAttach { right } => self.end_attach(cfg, right),
+            Action::EndModify { right, op } => self.end_modify(right, op),
+            Action::LinkNondet { idx, side, op } => self.link_nondet(idx, side, op),
+            Action::LinkAttach { idx } => self.link_attach(idx),
             Action::DropFwd(t) => {
-                let sig = s.tunnels[t].fwd.pop_front().expect("enabled action");
-                s.tunnels[t].faults_left -= 1;
+                let tun = self.tunnel(t);
+                let sig = tun.fwd.pop_front().expect("enabled action");
+                tun.faults_left -= 1;
                 if is_request(&sig) {
-                    s.tunnels[t].lost_fwd += 1;
+                    tun.lost_fwd += 1;
                 } else {
-                    s.tunnels[t].lost_bwd += 1;
+                    tun.lost_bwd += 1;
                 }
             }
             Action::DropBwd(t) => {
-                let sig = s.tunnels[t].bwd.pop_front().expect("enabled action");
-                s.tunnels[t].faults_left -= 1;
+                let tun = self.tunnel(t);
+                let sig = tun.bwd.pop_front().expect("enabled action");
+                tun.faults_left -= 1;
                 if is_request(&sig) {
-                    s.tunnels[t].lost_bwd += 1;
+                    tun.lost_bwd += 1;
                 } else {
-                    s.tunnels[t].lost_fwd += 1;
+                    tun.lost_fwd += 1;
                 }
             }
             Action::DupFwd(t) => {
-                let sig = s.tunnels[t].fwd.front().cloned().expect("enabled action");
-                s.tunnels[t].fwd.push_back(sig);
-                s.tunnels[t].faults_left -= 1;
+                let tun = self.tunnel(t);
+                let sig = tun.fwd.front().cloned().expect("enabled action");
+                tun.fwd.push_back(sig);
+                tun.faults_left -= 1;
             }
             Action::DupBwd(t) => {
-                let sig = s.tunnels[t].bwd.front().cloned().expect("enabled action");
-                s.tunnels[t].bwd.push_back(sig);
-                s.tunnels[t].faults_left -= 1;
+                let tun = self.tunnel(t);
+                let sig = tun.bwd.front().cloned().expect("enabled action");
+                tun.bwd.push_back(sig);
+                tun.faults_left -= 1;
             }
             Action::RetransmitFwd(t) => {
-                s.tunnels[t].lost_fwd -= 1;
-                s.retransmit(t, true);
+                self.tunnel(t).lost_fwd -= 1;
+                self.retransmit(t, true);
             }
             Action::RetransmitBwd(t) => {
-                s.tunnels[t].lost_bwd -= 1;
-                s.retransmit(t, false);
+                self.tunnel(t).lost_bwd -= 1;
+                self.retransmit(t, false);
             }
         }
-        s.canonicalize();
-        s
+    }
+
+    /// Tunnel `t`, made unique for writing.
+    fn tunnel(&mut self, t: usize) -> &mut Tunnel {
+        Arc::make_mut(&mut self.tunnels[t])
+    }
+
+    /// The left or right endpoint box, made unique for writing.
+    fn end(&mut self, right: bool) -> &mut EndBox {
+        Arc::make_mut(if right {
+            &mut self.right
+        } else {
+            &mut self.left
+        })
+    }
+
+    /// Enqueue signals an endpoint emitted into its tunnel. Leaves the
+    /// tunnel shared when there is nothing to send.
+    fn send_from_end(&mut self, right: bool, signals: Vec<Signal>) {
+        if signals.is_empty() {
+            return;
+        }
+        if right {
+            let t = self.links.len();
+            self.tunnel(t).bwd.extend(signals);
+        } else {
+            self.tunnel(0).fwd.extend(signals);
+        }
     }
 
     /// Deliver a signal to the element at `pos`. `from_left` says the
@@ -419,11 +466,8 @@ impl PathState {
     fn deliver(&mut self, pos: usize, from_left: bool, sig: Signal, reack: bool) {
         let n = self.links.len();
         if pos == 0 || pos == n + 1 {
-            let end = if pos == 0 {
-                &mut self.left
-            } else {
-                &mut self.right
-            };
+            let right = pos != 0;
+            let end = self.end(right);
             let reacks = if reack {
                 reliable::reack_signals(&end.slot, &sig)
             } else {
@@ -446,18 +490,11 @@ impl PathState {
                 }
             }
             signals.extend(reacks);
-            let t = if pos == 0 { 0 } else { n };
-            for sig in signals {
-                if pos == 0 {
-                    self.tunnels[t].fwd.push_back(sig);
-                } else {
-                    self.tunnels[t].bwd.push_back(sig);
-                }
-            }
+            self.send_from_end(right, signals);
         } else {
             let idx = pos - 1;
             let side = if from_left { 0 } else { 1 };
-            let link = &mut self.links[idx];
+            let link = Arc::make_mut(&mut self.links[idx]);
             // Split the two slots to satisfy the flowlink's signature.
             let [ref mut s0, ref mut s1] = link.slots;
             let reacks = if reack {
@@ -510,13 +547,11 @@ impl PathState {
             &self.links[t].slots[0]
         };
         let sigs = reliable::resend_signals(slot);
-        let tun = &mut self.tunnels[t];
-        for sig in sigs {
-            if fwd {
-                tun.fwd.push_back(sig);
-            } else {
-                tun.bwd.push_back(sig);
-            }
+        let tun = self.tunnel(t);
+        if fwd {
+            tun.fwd.extend(sigs);
+        } else {
+            tun.bwd.extend(sigs);
         }
     }
 
@@ -524,47 +559,30 @@ impl PathState {
     fn push_from_link(&mut self, idx: usize, side: usize, sig: Signal) {
         if side == 0 {
             // Left slot sends toward the left endpoint: backward on tunnel idx.
-            self.tunnels[idx].bwd.push_back(sig);
+            self.tunnel(idx).bwd.push_back(sig);
         } else {
-            self.tunnels[idx + 1].fwd.push_back(sig);
+            self.tunnel(idx + 1).fwd.push_back(sig);
         }
     }
 
     fn end_nondet(&mut self, right: bool, op: NondetOp) {
-        let n = self.links.len();
-        let end = if right {
-            &mut self.right
-        } else {
-            &mut self.left
-        };
+        let end = self.end(right);
         let EndMode::Phase1 { agent, budget } = &mut end.mode else {
             panic!("nondet action on phase-2 endpoint");
         };
         *budget -= 1;
         let cmd = op_to_cmd(op, agent);
         let signals = agent.command(cmd, &mut end.slot).expect("legal op");
-        let t = if right { n } else { 0 };
-        for sig in signals {
-            if right {
-                self.tunnels[t].bwd.push_back(sig);
-            } else {
-                self.tunnels[t].fwd.push_back(sig);
-            }
-        }
+        self.send_from_end(right, signals);
     }
 
     fn end_attach(&mut self, cfg: &CheckConfig, right: bool) {
-        let n = self.links.len();
         let (kind, origin) = if right {
             (cfg.right, 102u64)
         } else {
             (cfg.left, 101u64)
         };
-        let end = if right {
-            &mut self.right
-        } else {
-            &mut self.left
-        };
+        let end = self.end(right);
         let EndMode::Phase1 { agent, .. } = &end.mode else {
             panic!("attach on phase-2 endpoint");
         };
@@ -584,23 +602,11 @@ impl PathState {
             goal,
             modify_budget: cfg.modify_budget,
         };
-        let t = if right { n } else { 0 };
-        for sig in signals {
-            if right {
-                self.tunnels[t].bwd.push_back(sig);
-            } else {
-                self.tunnels[t].fwd.push_back(sig);
-            }
-        }
+        self.send_from_end(right, signals);
     }
 
     fn end_modify(&mut self, right: bool, op: NondetOp) {
-        let n = self.links.len();
-        let end = if right {
-            &mut self.right
-        } else {
-            &mut self.left
-        };
+        let end = self.end(right);
         let EndMode::Phase2 {
             goal,
             modify_budget,
@@ -620,18 +626,11 @@ impl PathState {
             }
             EndGoalObj::Close(_) => panic!("closeSlot has no mute flags"),
         };
-        let t = if right { n } else { 0 };
-        for sig in signals {
-            if right {
-                self.tunnels[t].bwd.push_back(sig);
-            } else {
-                self.tunnels[t].fwd.push_back(sig);
-            }
-        }
+        self.send_from_end(right, signals);
     }
 
     fn link_nondet(&mut self, idx: usize, side: usize, op: NondetOp) {
-        let link = &mut self.links[idx];
+        let link = Arc::make_mut(&mut self.links[idx]);
         let LinkMode::Phase1 { agents, budget } = &mut link.mode else {
             panic!("nondet action on phase-2 link");
         };
@@ -646,7 +645,7 @@ impl PathState {
     }
 
     fn link_attach(&mut self, idx: usize) {
-        let link = &mut self.links[idx];
+        let link = Arc::make_mut(&mut self.links[idx]);
         let mut fl = FlowLink::new(110 + idx as u64);
         let [ref mut s0, ref mut s1] = link.slots;
         let out = fl.attach(s0, s1);
@@ -709,70 +708,175 @@ impl PathState {
     /// reset tag-source counters just past them. States differing only by
     /// tag generations then hash identically; the protocol only ever tests
     /// tags for equality, so this quotient is bisimulation-preserving.
+    ///
+    /// Lazy and allocation-free: the distinct `(origin, generation)` pairs
+    /// go into a reused per-thread buffer, and a component is copied and
+    /// rewritten only if one of its tags changes rank or one of its
+    /// sources holds a stale counter. A canonical state comes out with
+    /// every component still shared.
     pub fn canonicalize(&mut self) {
-        // Pass 1: collect generations per origin, in deterministic order.
-        let mut per_origin: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-        self.visit_all_tags(&mut |t: &mut DescTag| {
-            let v = per_origin.entry(t.origin).or_default();
-            if !v.contains(&t.generation) {
-                v.push(t.generation);
-            }
-        });
-        let mut mapping: BTreeMap<(u64, u32), u32> = BTreeMap::new();
-        for (origin, mut gens) in per_origin.clone() {
-            gens.sort_unstable();
-            for (i, g) in gens.iter().enumerate() {
-                mapping.insert((origin, *g), i as u32);
-            }
+        thread_local! {
+            static USED: RefCell<Vec<(u64, u32)>> = const { RefCell::new(Vec::new()) };
         }
-        // Pass 2: rewrite tags.
-        self.visit_all_tags(&mut |t: &mut DescTag| {
-            t.generation = mapping[&(t.origin, t.generation)];
-        });
-        // Pass 3: reset sources.
-        self.visit_all_sources(&mut |s: &mut TagSource| {
-            let used = per_origin.get(&s.origin()).map(|v| v.len()).unwrap_or(0);
-            s.set_generation_counter(used as u32);
+        USED.with(|used| {
+            let mut used = used.borrow_mut();
+            used.clear();
+            self.for_each_tag(&mut |t| used.push((t.origin, t.generation)));
+            used.sort_unstable();
+            used.dedup();
+            let ranks = Ranks::new(&used);
+            canonical(&mut self.left, &ranks);
+            for link in &mut self.links {
+                canonical(link, &ranks);
+            }
+            canonical(&mut self.right, &ranks);
+            for tun in &mut self.tunnels {
+                canonical(tun, &ranks);
+            }
         });
     }
 
-    fn visit_all_tags(&mut self, f: &mut dyn FnMut(&mut DescTag)) {
-        self.left.slot.visit_tags(f);
-        for link in &mut self.links {
-            link.slots[0].visit_tags(f);
-            link.slots[1].visit_tags(f);
+    /// Call `f` on every descriptor tag in the state: slots left to
+    /// right, then queued signals tunnel by tunnel.
+    fn for_each_tag(&self, f: &mut dyn FnMut(&DescTag)) {
+        self.left.for_each_tag(f);
+        for link in &self.links {
+            link.for_each_tag(f);
         }
-        self.right.slot.visit_tags(f);
-        for tun in &mut self.tunnels {
-            for sig in tun.fwd.iter_mut().chain(tun.bwd.iter_mut()) {
-                sig.visit_tags(f);
-            }
+        self.right.for_each_tag(f);
+        for tun in &self.tunnels {
+            tun.for_each_tag(f);
         }
-    }
-
-    fn visit_all_sources(&mut self, f: &mut dyn FnMut(&mut TagSource)) {
-        visit_end_sources(&mut self.left, f);
-        for link in &mut self.links {
-            match &mut link.mode {
-                LinkMode::Phase1 { agents, .. } => {
-                    agents[0].visit_sources(f);
-                    agents[1].visit_sources(f);
-                }
-                LinkMode::Phase2 { link } => link.visit_sources(f),
-            }
-        }
-        visit_end_sources(&mut self.right, f);
     }
 }
 
-fn visit_end_sources(end: &mut EndBox, f: &mut dyn FnMut(&mut TagSource)) {
-    match &mut end.mode {
-        EndMode::Phase1 { agent, .. } => agent.visit_sources(f),
-        EndMode::Phase2 { goal, .. } => match goal {
-            EndGoalObj::Open(g) => g.visit_sources(f),
-            EndGoalObj::Close(g) => g.visit_sources(f),
-            EndGoalObj::Hold(g) => g.visit_sources(f),
-        },
+/// The distinct `(origin, generation)` pairs of a state, sorted: a tag's
+/// canonical generation is its rank among its origin's generations, and
+/// an origin's source counter is the number of them.
+struct Ranks<'a> {
+    used: &'a [(u64, u32)],
+    /// Every origin's generations are already `0..n`: no tag moves.
+    dense: bool,
+}
+
+impl<'a> Ranks<'a> {
+    fn new(used: &'a [(u64, u32)]) -> Self {
+        let mut first = 0;
+        let dense = used.iter().enumerate().all(|(i, &(origin, generation))| {
+            if i > 0 && used[i - 1].0 != origin {
+                first = i;
+            }
+            generation as usize == i - first
+        });
+        Ranks { used, dense }
+    }
+
+    /// Index of the first pair of `origin`.
+    fn first(&self, origin: u64) -> usize {
+        self.used.partition_point(|&(o, _)| o < origin)
+    }
+
+    fn rank(&self, t: &DescTag) -> u32 {
+        let at = self.used.partition_point(|&p| p < (t.origin, t.generation));
+        (at - self.first(t.origin)) as u32
+    }
+
+    fn count(&self, origin: u64) -> u32 {
+        let end = self.used.partition_point(|&(o, _)| o <= origin);
+        (end - self.first(origin)) as u32
+    }
+}
+
+/// Canonicalize one component against the state's ranks, copying it out
+/// of its `Arc` only if something in it actually changes.
+fn canonical<T: Retag + Clone>(c: &mut Arc<T>, ranks: &Ranks) {
+    let mut stale = false;
+    if !ranks.dense {
+        c.for_each_tag(&mut |t| stale |= ranks.rank(t) != t.generation);
+    }
+    c.for_each_source(&mut |s| stale |= ranks.count(s.origin()) != s.generation_counter());
+    if stale {
+        let c = Arc::make_mut(c);
+        c.visit_tags(&mut |t| t.generation = ranks.rank(t));
+        c.visit_sources(&mut |s| s.set_generation_counter(ranks.count(s.origin())));
+    }
+}
+
+impl Retag for EndBox {
+    fn visit_tags(&mut self, f: &mut dyn FnMut(&mut DescTag)) {
+        self.slot.visit_tags(f);
+    }
+
+    fn visit_sources(&mut self, f: &mut dyn FnMut(&mut TagSource)) {
+        match &mut self.mode {
+            EndMode::Phase1 { agent, .. } => agent.visit_sources(f),
+            EndMode::Phase2 { goal, .. } => match goal {
+                EndGoalObj::Open(g) => g.visit_sources(f),
+                EndGoalObj::Close(g) => g.visit_sources(f),
+                EndGoalObj::Hold(g) => g.visit_sources(f),
+            },
+        }
+    }
+
+    fn for_each_tag(&self, f: &mut dyn FnMut(&DescTag)) {
+        self.slot.for_each_tag(f);
+    }
+
+    fn for_each_source(&self, f: &mut dyn FnMut(&TagSource)) {
+        match &self.mode {
+            EndMode::Phase1 { agent, .. } => agent.for_each_source(f),
+            EndMode::Phase2 { goal, .. } => match goal {
+                EndGoalObj::Open(g) => g.for_each_source(f),
+                EndGoalObj::Close(g) => g.for_each_source(f),
+                EndGoalObj::Hold(g) => g.for_each_source(f),
+            },
+        }
+    }
+}
+
+impl Retag for LinkBox {
+    fn visit_tags(&mut self, f: &mut dyn FnMut(&mut DescTag)) {
+        self.slots[0].visit_tags(f);
+        self.slots[1].visit_tags(f);
+    }
+
+    fn visit_sources(&mut self, f: &mut dyn FnMut(&mut TagSource)) {
+        match &mut self.mode {
+            LinkMode::Phase1 { agents, .. } => {
+                agents[0].visit_sources(f);
+                agents[1].visit_sources(f);
+            }
+            LinkMode::Phase2 { link } => link.visit_sources(f),
+        }
+    }
+
+    fn for_each_tag(&self, f: &mut dyn FnMut(&DescTag)) {
+        self.slots[0].for_each_tag(f);
+        self.slots[1].for_each_tag(f);
+    }
+
+    fn for_each_source(&self, f: &mut dyn FnMut(&TagSource)) {
+        match &self.mode {
+            LinkMode::Phase1 { agents, .. } => {
+                agents[0].for_each_source(f);
+                agents[1].for_each_source(f);
+            }
+            LinkMode::Phase2 { link } => link.for_each_source(f),
+        }
+    }
+}
+
+impl Retag for Tunnel {
+    fn visit_tags(&mut self, f: &mut dyn FnMut(&mut DescTag)) {
+        for sig in self.fwd.iter_mut().chain(self.bwd.iter_mut()) {
+            sig.visit_tags(f);
+        }
+    }
+
+    fn for_each_tag(&self, f: &mut dyn FnMut(&DescTag)) {
+        for sig in self.fwd.iter().chain(&self.bwd) {
+            sig.for_each_tag(f);
+        }
     }
 }
 
@@ -811,9 +915,14 @@ fn is_request(sig: &Signal) -> bool {
 /// slot implementation share one source of truth. `Select`/`Describe` are
 /// driven by policy changes rather than explored directly, so they map to
 /// the mute-toggle ops instead.
-fn legal_ops(slot: &Slot) -> Vec<NondetOp> {
+fn legal_ops(slot: &Slot) -> impl Iterator<Item = NondetOp> {
     let state = slot.state();
-    let mut ops: Vec<NondetOp> = state
+    let toggles = if state == SlotState::Flowing {
+        [NondetOp::ToggleMuteIn, NondetOp::ToggleMuteOut].as_slice()
+    } else {
+        &[]
+    };
+    state
         .legal_sends()
         .filter_map(|action| match action {
             SlotAction::Open => Some(NondetOp::Open),
@@ -821,12 +930,7 @@ fn legal_ops(slot: &Slot) -> Vec<NondetOp> {
             SlotAction::Close => Some(NondetOp::Close),
             SlotAction::Select | SlotAction::Describe => None,
         })
-        .collect();
-    if state == SlotState::Flowing {
-        ops.push(NondetOp::ToggleMuteIn);
-        ops.push(NondetOp::ToggleMuteOut);
-    }
-    ops
+        .chain(toggles.iter().copied())
 }
 
 fn op_to_cmd(op: NondetOp, agent: &UserAgent) -> UserCmd {
@@ -862,9 +966,126 @@ fn flipped(p: &Policy, op: NondetOp) -> Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::SeenSet;
+    use std::collections::BTreeMap;
 
     fn cfg0() -> CheckConfig {
         CheckConfig::standard(0, EndGoal::Open, EndGoal::Hold)
+    }
+
+    /// The original eager canonicalization, kept as the reference the
+    /// lazy one must agree with: per-origin generation lists in a
+    /// `BTreeMap`, a full renaming map, and an unconditional rewrite of
+    /// every tag and tag source in every component.
+    fn canonicalize_eager(s: &mut PathState) {
+        let mut per_origin: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        s.for_each_tag(&mut |t| {
+            let v = per_origin.entry(t.origin).or_default();
+            if !v.contains(&t.generation) {
+                v.push(t.generation);
+            }
+        });
+        let mut mapping: BTreeMap<(u64, u32), u32> = BTreeMap::new();
+        for (origin, gens) in &mut per_origin {
+            gens.sort_unstable();
+            for (i, g) in gens.iter().enumerate() {
+                mapping.insert((*origin, *g), i as u32);
+            }
+        }
+        let retag = |c: &mut dyn Retag| {
+            c.visit_tags(&mut |t| t.generation = mapping[&(t.origin, t.generation)]);
+            c.visit_sources(&mut |src| {
+                let used = per_origin.get(&src.origin()).map_or(0, Vec::len);
+                src.set_generation_counter(used as u32);
+            });
+        };
+        retag(Arc::<EndBox>::make_mut(&mut s.left));
+        for link in &mut s.links {
+            retag(Arc::<LinkBox>::make_mut(link));
+        }
+        retag(Arc::<EndBox>::make_mut(&mut s.right));
+        for tun in &mut s.tunnels {
+            retag(Arc::<Tunnel>::make_mut(tun));
+        }
+    }
+
+    /// Every component of `a` is the very allocation `b` holds.
+    fn shares_all(a: &PathState, b: &PathState) -> bool {
+        Arc::ptr_eq(&a.left, &b.left)
+            && Arc::ptr_eq(&a.right, &b.right)
+            && a.links.iter().zip(&b.links).all(|(x, y)| Arc::ptr_eq(x, y))
+            && a.tunnels
+                .iter()
+                .zip(&b.tunnels)
+                .all(|(x, y)| Arc::ptr_eq(x, y))
+    }
+
+    /// Breadth-first walk over the first `cap` reachable states of `cfg`,
+    /// calling `visit` with each state, each of its enabled actions, and
+    /// the successor `apply` produced.
+    fn for_each_transition(
+        cfg: &CheckConfig,
+        cap: usize,
+        mut visit: impl FnMut(&PathState, Action, &PathState),
+    ) {
+        let mut seen = SeenSet::new();
+        seen.insert(PathState::initial(cfg));
+        let mut i = 0;
+        while i < seen.len().min(cap) {
+            let s = seen.get(i as u32).clone();
+            for a in s.actions(cfg) {
+                let next = s.apply(cfg, a);
+                visit(&s, a, &next);
+                seen.insert(next);
+            }
+            i += 1;
+        }
+    }
+
+    #[test]
+    fn lazy_canonicalization_matches_the_eager_reference() {
+        for cfg in [
+            crate::budgeted(0, EndGoal::Open, EndGoal::Hold, 0),
+            crate::budgeted(0, EndGoal::Open, EndGoal::Hold, 0).with_faults(1),
+        ] {
+            let mut checked = 0usize;
+            for_each_transition(&cfg, usize::MAX, |s, a, lazy| {
+                let mut eager = s.clone();
+                eager.step(&cfg, a);
+                canonicalize_eager(&mut eager);
+                assert_eq!(*lazy, eager, "{a:?} from {s:?}");
+                checked += 1;
+            });
+            assert!(checked > 6_000, "only {checked} transitions compared");
+        }
+    }
+
+    #[test]
+    fn a_step_copies_only_the_components_it_touches() {
+        let cfg = CheckConfig::standard(1, EndGoal::Open, EndGoal::Hold);
+        let s = PathState::initial(&cfg).apply(&cfg, Action::EndAttach { right: false });
+        let t = s.apply(&cfg, Action::DeliverFwd(0));
+        // The open left tunnel 0 and reached the phase-1 link, whose
+        // manual agent answers nothing yet.
+        assert!(t.tunnels[0].fwd.is_empty() && t.tunnels[1].fwd.is_empty());
+        assert!(!Arc::ptr_eq(&s.tunnels[0], &t.tunnels[0]));
+        assert!(!Arc::ptr_eq(&s.links[0], &t.links[0]));
+        assert!(Arc::ptr_eq(&s.left, &t.left));
+        assert!(Arc::ptr_eq(&s.right, &t.right));
+        assert!(Arc::ptr_eq(&s.tunnels[1], &t.tunnels[1]));
+    }
+
+    #[test]
+    fn canonicalizing_a_canonical_state_copies_nothing() {
+        let cfg = CheckConfig::standard(1, EndGoal::Open, EndGoal::Hold).with_faults(1);
+        let mut checked = 0usize;
+        for_each_transition(&cfg, 2_000, |_, _, next| {
+            let mut again = next.clone();
+            again.canonicalize();
+            assert!(shares_all(next, &again), "{next:?}");
+            checked += 1;
+        });
+        assert!(checked > 1_000);
     }
 
     #[test]

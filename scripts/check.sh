@@ -18,6 +18,15 @@ cargo clippy "$@" --workspace --all-targets -- -D warnings
 echo "== cargo test" >&2
 cargo test "$@" --workspace -q
 
+echo "== benchmark unit tests and checker smoke (oracle only, no timing gate)" >&2
+# The benchmark (perfbench/) is a package of its own, outside the
+# workspace. Its unit tests cover the oracles and the replay; the short
+# mck_verify run must exit 0, i.e. reproduce the pinned counts and pass
+# verdicts at 1 and 2 threads. Its throughput figures are not gated.
+cargo test "$@" --release -q --manifest-path perfbench/Cargo.toml
+cargo run "$@" --release -q --manifest-path perfbench/Cargo.toml -- \
+  --workload mck_verify --seconds 3 >/dev/null
+
 echo "== ipmedia-lint (static analysis over all example models)" >&2
 # All passes (AZ1xx–AZ6xx) at deny level, parallel with deterministic
 # output, gated against the committed baseline; the SARIF log is a build
