@@ -6,7 +6,8 @@
 //! 1. **netsim** — every generated call established concurrently in the
 //!    discrete-event simulator; tunnel-setup and flowlink-reconvergence
 //!    latency distributions in virtual ms, plus signal totals and
-//!    resident bytes per live call from a counting allocator.
+//!    resident bytes per live call from a counting allocator. The arm
+//!    fails when a call costs more than [`MAX_BYTES_PER_LIVE_CALL`].
 //! 2. **rt** — `channels × tunnels` concurrent calls over real TCP
 //!    through the tokio runtime, once with [`NodeTuning::UNSHARDED`]
 //!    (the original single-inbox, one-frame-per-flush pipeline) and once
@@ -73,6 +74,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The netsim arm fails when its peak heap per live call exceeds this.
+/// A call costs about 6 KB; 4 KB is the target.
+const MAX_BYTES_PER_LIVE_CALL: usize = 8_192;
 
 /// Reset the peak watermark to the current residency and return a token
 /// for [`peak_since`].
@@ -185,7 +190,12 @@ fn main() -> ExitCode {
             .num("bytes_per_live_call", bytes_per_call as u64)
             .finish(),
     );
-    let net_ok = net.established == net.calls;
+    let within_budget = bytes_per_call <= MAX_BYTES_PER_LIVE_CALL;
+    eprintln!(
+        "  byte budget: {bytes_per_call} ≤ {MAX_BYTES_PER_LIVE_CALL} bytes/live call — {}",
+        if within_budget { "ok" } else { "FAIL" }
+    );
+    let net_ok = net.established == net.calls && within_budget;
 
     // --- rt arm: unsharded baseline, then the sharded default -------------
     let rt_reps: usize = flag("--rt-reps")
@@ -310,7 +320,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if ok {
-        eprintln!("call_storm: CLEAN — all arms converged, speedup gate met");
+        eprintln!("call_storm: CLEAN — all arms converged, byte budget and speedup gate met");
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

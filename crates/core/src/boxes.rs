@@ -13,6 +13,8 @@ use crate::signal::Signal;
 use crate::slot::{Slot, SlotEvent, SlotState};
 use ipmedia_obs::{NoopObserver, Observer};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Identity of a goal object within its box.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -105,14 +107,173 @@ impl GoalSpec {
     }
 }
 
+/// Entries a [`SmallMap`] holds in its sorted `Vec` before it becomes a
+/// B-tree. Replacing a goal shifts the `Vec` entries behind the old one,
+/// so past this size a B-tree is cheaper: on a box of that many slots,
+/// each with a user-agent goal, the two cost the same per `set_goal`
+/// near 200 to 250 slots (EXPERIMENTS.md S1).
+const SPILL: usize = 192;
+
+/// A `MediaBox` map: a `Vec` sorted by key and searched by bisection
+/// while it is small, a `BTreeMap` once it has held more than [`SPILL`]
+/// entries. A netsim box holds one to three slots and goals, where a
+/// B-tree would allocate a full eleven-entry leaf for the first; an rt
+/// node's single box holds every slot of every channel it serves.
+/// Equality, hashing and `Debug` output depend only on the entries, and
+/// are those of the ordered map.
+#[derive(Clone)]
+enum SmallMap<K, V> {
+    Vec(Vec<(K, V)>),
+    Tree(BTreeMap<K, V>),
+}
+
+fn find<K: Ord, V>(v: &[(K, V)], k: &K) -> Result<usize, usize> {
+    v.binary_search_by(|(x, _)| x.cmp(k))
+}
+
+impl<K: Ord + Copy, V> SmallMap<K, V> {
+    const fn new() -> Self {
+        Self::Vec(Vec::new())
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Self::Vec(v) => v.len(),
+            Self::Tree(m) => m.len(),
+        }
+    }
+
+    fn get(&self, k: K) -> Option<&V> {
+        match self {
+            Self::Vec(v) => find(v, &k).ok().map(|i| &v[i].1),
+            Self::Tree(m) => m.get(&k),
+        }
+    }
+
+    fn get_mut(&mut self, k: K) -> Option<&mut V> {
+        match self {
+            Self::Vec(v) => find(v, &k).ok().map(|i| &mut v[i].1),
+            Self::Tree(m) => m.get_mut(&k),
+        }
+    }
+
+    fn contains_key(&self, k: K) -> bool {
+        self.get(k).is_some()
+    }
+
+    fn insert(&mut self, k: K, val: V) -> Option<V> {
+        match self {
+            Self::Vec(v) => match find(v, &k) {
+                Ok(i) => Some(std::mem::replace(&mut v[i].1, val)),
+                Err(i) if v.len() < SPILL => {
+                    v.insert(i, (k, val));
+                    None
+                }
+                Err(_) => {
+                    let mut m: BTreeMap<K, V> = std::mem::take(v).into_iter().collect();
+                    m.insert(k, val);
+                    *self = Self::Tree(m);
+                    None
+                }
+            },
+            Self::Tree(m) => m.insert(k, val),
+        }
+    }
+
+    fn remove(&mut self, k: K) -> Option<V> {
+        match self {
+            Self::Vec(v) => find(v, &k).ok().map(|i| v.remove(i).1),
+            Self::Tree(m) => m.remove(&k),
+        }
+    }
+
+    /// Entries in key order.
+    fn iter(&self) -> impl Iterator<Item = (&K, &V)> + '_ {
+        let (vec, tree) = match self {
+            Self::Vec(v) => (Some(v), None),
+            Self::Tree(m) => (None, Some(m)),
+        };
+        let vec = vec.into_iter().flatten().map(|(k, v)| (k, v));
+        vec.chain(tree.into_iter().flatten())
+    }
+
+    fn keys(&self) -> impl Iterator<Item = K> + '_ {
+        self.iter().map(|(k, _)| *k)
+    }
+
+    /// Mutable access to the values of two distinct present keys.
+    fn pair_mut(&mut self, first: K, second: K) -> (&mut V, &mut V) {
+        assert!(first != second, "pair_mut needs distinct keys");
+        let (low, high) = match self {
+            Self::Vec(v) => {
+                let i = find(v, &first).expect("first key present");
+                let j = find(v, &second).expect("second key present");
+                let (lo, hi) = v.split_at_mut(i.max(j));
+                (&mut lo[i.min(j)].1, &mut hi[0].1)
+            }
+            Self::Tree(m) => {
+                let mut range = m.range_mut(first.min(second)..=first.max(second));
+                let (lo, low) = range.next().expect("keys present");
+                let (hi, high) = range.next_back().expect("keys present");
+                assert!(
+                    *lo == first.min(second) && *hi == first.max(second),
+                    "pair_mut keys present"
+                );
+                (low, high)
+            }
+        };
+        if first < second {
+            (low, high)
+        } else {
+            (high, low)
+        }
+    }
+}
+
+impl<K: Ord + Copy, V: PartialEq> PartialEq for SmallMap<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl<K: Ord + Copy, V: Eq> Eq for SmallMap<K, V> {}
+
+impl<K: Ord + Copy + Hash, V: Hash> Hash for SmallMap<K, V> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.len());
+        self.iter().for_each(|entry| entry.hash(state));
+    }
+}
+
+impl<K: Ord + Copy + fmt::Debug, V: fmt::Debug> fmt::Debug for SmallMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// Protocol states of the slots a change may touch (one slot, or both
+/// ends of a flowlink), snapshotted for transition reporting. Every
+/// stimulus takes one, so it is a fixed array with a length rather than
+/// a heap allocation.
+struct Snapshot {
+    states: [(SlotId, SlotState); 2],
+    len: usize,
+}
+
+impl Snapshot {
+    fn as_slice(&self) -> &[(SlotId, SlotState)] {
+        &self.states[..self.len]
+    }
+}
+
 /// A peer module involved in media control: slots + goals + maps.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MediaBox {
     id: BoxId,
-    slots: BTreeMap<SlotId, Slot>,
-    goals: BTreeMap<GoalId, GoalEntry>,
+    slots: SmallMap<SlotId, Slot>,
+    goals: SmallMap<GoalId, GoalEntry>,
     /// The `Maps` object: dynamic association between slots and goals.
-    maps: BTreeMap<SlotId, GoalId>,
+    maps: SmallMap<SlotId, GoalId>,
     next_goal: u32,
     next_origin: u64,
 }
@@ -122,9 +283,9 @@ impl MediaBox {
     pub fn new(id: BoxId) -> Self {
         Self {
             id,
-            slots: BTreeMap::new(),
-            goals: BTreeMap::new(),
-            maps: BTreeMap::new(),
+            slots: SmallMap::new(),
+            goals: SmallMap::new(),
+            maps: SmallMap::new(),
             next_goal: 0,
             next_origin: 0,
         }
@@ -145,25 +306,25 @@ impl MediaBox {
     /// Destroy a slot (its signaling channel was torn down). Any goal
     /// controlling it dies; a flowlink's other slot becomes uncontrolled.
     pub fn remove_slot(&mut self, id: SlotId) {
-        self.slots.remove(&id);
+        self.slots.remove(id);
         self.drop_goal_of(id);
     }
 
     /// Read access to a slot, for guard predicates.
     pub fn slot(&self, id: SlotId) -> Option<&Slot> {
-        self.slots.get(&id)
+        self.slots.get(id)
     }
 
     /// All registered slot ids, in order.
     pub fn slot_ids(&self) -> impl Iterator<Item = SlotId> + '_ {
-        self.slots.keys().copied()
+        self.slots.keys()
     }
 
     /// The goal currently controlling a slot, if any.
     pub fn goal_of(&self, id: SlotId) -> Option<&Goal> {
         self.maps
-            .get(&id)
-            .and_then(|g| self.goals.get(g))
+            .get(id)
+            .and_then(|&g| self.goals.get(g))
             .map(|e| &e.goal)
     }
 
@@ -179,38 +340,45 @@ impl MediaBox {
     }
 
     fn drop_goal_of_obs<O: Observer + ?Sized>(&mut self, slot: SlotId, obs: &mut O) {
-        if let Some(gid) = self.maps.remove(&slot) {
-            if let Some(entry) = self.goals.remove(&gid) {
+        if let Some(gid) = self.maps.remove(slot) {
+            if let Some(entry) = self.goals.remove(gid) {
                 obs.goal_dropped(self.id.0, slot.0, entry.goal.kind());
                 // A flowlink's other slot loses its controller too; the
                 // program must assign it a new goal.
                 if let Controlled::Two(a, b) = entry.controls {
                     let other = if a == slot { b } else { a };
-                    self.maps.remove(&other);
+                    self.maps.remove(other);
                 }
             }
         }
     }
 
-    /// Snapshot the protocol states of the slots a change may touch, for
-    /// transition reporting.
-    fn states_of(&self, slots: &[SlotId]) -> Vec<(SlotId, SlotState)> {
-        slots
-            .iter()
-            .filter_map(|s| self.slots.get(s).map(|slot| (*s, slot.state())))
-            .collect()
+    /// Snapshot the protocol states of the (at most two) slots a change
+    /// may touch, for transition reporting; absent slots are skipped.
+    fn states_of(&self, slots: &[SlotId]) -> Snapshot {
+        let mut snap = Snapshot {
+            states: [(SlotId(0), SlotState::Closed); 2],
+            len: 0,
+        };
+        for &s in slots {
+            if let Some(slot) = self.slots.get(s) {
+                snap.states[snap.len] = (s, slot.state());
+                snap.len += 1;
+            }
+        }
+        snap
     }
 
     /// Report every state change relative to `before` with the given cause.
     fn observe_transitions<O: Observer + ?Sized>(
         &self,
         obs: &mut O,
-        before: &[(SlotId, SlotState)],
+        before: &Snapshot,
         cause: &'static str,
     ) {
-        for (slot, was) in before {
-            if let Some(now) = self.slots.get(slot).map(super::slot::Slot::state) {
-                if now != *was {
+        for &(slot, was) in before.as_slice() {
+            if let Some(now) = self.slots.get(slot).map(Slot::state) {
+                if now != was {
                     obs.slot_transition(self.id.0, slot.0, was.name(), now.name(), cause);
                 }
             }
@@ -245,20 +413,20 @@ impl MediaBox {
         obs: &mut O,
     ) -> Vec<Outgoing> {
         let controls = spec.slots();
-        let watched = match controls {
-            Controlled::One(s) => vec![s],
-            Controlled::Two(a, b) => vec![a, b],
+        let (watched, n) = match controls {
+            Controlled::One(s) => ([s, s], 1),
+            Controlled::Two(a, b) => ([a, b], 2),
         };
-        let before = self.states_of(&watched);
+        let before = self.states_of(&watched[..n]);
         match controls {
             Controlled::One(s) => {
-                assert!(self.slots.contains_key(&s), "unknown slot {s}");
+                assert!(self.slots.contains_key(s), "unknown slot {s}");
                 self.drop_goal_of_obs(s, obs);
             }
             Controlled::Two(a, b) => {
                 assert!(a != b, "flowLink needs two distinct slots");
-                assert!(self.slots.contains_key(&a), "unknown slot {a}");
-                assert!(self.slots.contains_key(&b), "unknown slot {b}");
+                assert!(self.slots.contains_key(a), "unknown slot {a}");
+                assert!(self.slots.contains_key(b), "unknown slot {b}");
                 self.drop_goal_of_obs(a, obs);
                 self.drop_goal_of_obs(b, obs);
             }
@@ -280,27 +448,24 @@ impl MediaBox {
 
         let out = match controls {
             Controlled::One(s) => {
-                let slot = self.slots.get_mut(&s).expect("checked above");
+                let slot = self.slots.get_mut(s).expect("checked above");
                 goal::attach_single(&mut new_goal, slot)
                     .into_iter()
                     .map(|signal| Outgoing { slot: s, signal })
                     .collect()
             }
             Controlled::Two(a, b) => {
-                let (mut sa, mut sb) = self.take_two(a, b);
+                let (sa, sb) = self.slots.pair_mut(a, b);
                 let Goal::Link(link) = &mut new_goal else {
                     unreachable!()
                 };
-                let out = link
-                    .attach(&mut sa, &mut sb)
+                link.attach(sa, sb)
                     .into_iter()
                     .map(|(side, signal)| Outgoing {
                         slot: if side == LinkSide::A { a } else { b },
                         signal,
                     })
-                    .collect();
-                self.put_two(a, sa, b, sb);
-                out
+                    .collect()
             }
         };
 
@@ -343,14 +508,14 @@ impl MediaBox {
     ) -> (Vec<Outgoing>, Vec<BoxNote>) {
         let kind = signal.kind();
         obs.signal_received(self.id.0, slot_id.0, kind);
-        let watched = match self.maps.get(&slot_id).and_then(|g| self.goals.get(g)) {
+        let (watched, n) = match self.maps.get(slot_id).and_then(|&g| self.goals.get(g)) {
             Some(GoalEntry {
                 controls: Controlled::Two(a, b),
                 ..
-            }) => vec![*a, *b],
-            _ => vec![slot_id],
+            }) => ([*a, *b], 2),
+            _ => ([slot_id, slot_id], 1),
         };
-        let before = self.states_of(&watched);
+        let before = self.states_of(&watched[..n]);
         let (out, notes) = self.on_signal_inner(slot_id, signal);
         self.observe_transitions(obs, &before, kind);
         for note in &notes {
@@ -366,10 +531,10 @@ impl MediaBox {
         slot_id: SlotId,
         signal: Signal,
     ) -> (Vec<Outgoing>, Vec<BoxNote>) {
-        let Some(gid) = self.maps.get(&slot_id).copied() else {
+        let Some(gid) = self.maps.get(slot_id).copied() else {
             // Uncontrolled slot: apply protocol-mandated auto responses
             // only, and surface the event so the program can react.
-            let Some(slot) = self.slots.get_mut(&slot_id) else {
+            let Some(slot) = self.slots.get_mut(slot_id) else {
                 return (vec![], vec![]);
             };
             let (event, auto) = slot.on_signal(signal);
@@ -389,17 +554,17 @@ impl MediaBox {
             );
         };
 
-        let entry = self.goals.get(&gid).expect("maps points at live goal");
+        let entry = self.goals.get(gid).expect("maps points at live goal");
         match entry.controls {
             Controlled::One(s) => {
                 debug_assert_eq!(s, slot_id);
-                let slot = self.slots.get_mut(&s).expect("slot exists");
+                let slot = self.slots.get_mut(s).expect("slot exists");
                 let (event, auto) = slot.on_signal(signal);
                 let mut out: Vec<Outgoing> = auto
                     .into_iter()
                     .map(|signal| Outgoing { slot: s, signal })
                     .collect();
-                let entry = self.goals.get_mut(&gid).expect("goal exists");
+                let entry = self.goals.get_mut(gid).expect("goal exists");
                 let (sigs, user_notes) = goal::on_event_single(&mut entry.goal, &event, slot);
                 out.extend(sigs.into_iter().map(|signal| Outgoing { slot: s, signal }));
                 let mut notes = vec![BoxNote::Slot { slot: s, event }];
@@ -416,11 +581,11 @@ impl MediaBox {
                 } else {
                     LinkSide::B
                 };
-                let (mut sa, mut sb) = self.take_two(a, b);
+                let (sa, sb) = self.slots.pair_mut(a, b);
                 let target = if side == LinkSide::A {
-                    &mut sa
+                    &mut *sa
                 } else {
-                    &mut sb
+                    &mut *sb
                 };
                 let (event, auto) = target.on_signal(signal);
                 let mut out: Vec<Outgoing> = auto
@@ -430,19 +595,18 @@ impl MediaBox {
                         signal,
                     })
                     .collect();
-                let entry = self.goals.get_mut(&gid).expect("goal exists");
+                let entry = self.goals.get_mut(gid).expect("goal exists");
                 let Goal::Link(link) = &mut entry.goal else {
                     unreachable!("two-slot goal is a flowlink")
                 };
                 out.extend(
-                    link.on_event(side, &event, &mut sa, &mut sb)
+                    link.on_event(side, &event, sa, sb)
                         .into_iter()
                         .map(|(s, signal)| Outgoing {
                             slot: if s == LinkSide::A { a } else { b },
                             signal,
                         }),
                 );
-                self.put_two(a, sa, b, sb);
                 (
                     out,
                     vec![BoxNote::Slot {
@@ -482,16 +646,16 @@ impl MediaBox {
     ) -> Result<Vec<Outgoing>, ProtocolError> {
         let gid = self
             .maps
-            .get(&slot_id)
+            .get(slot_id)
             .copied()
             .ok_or(ProtocolError::InvalidRecord("slot has no goal"))?;
-        let entry = self.goals.get_mut(&gid).expect("maps points at live goal");
+        let entry = self.goals.get_mut(gid).expect("maps points at live goal");
         let Goal::User(agent) = &mut entry.goal else {
             return Err(ProtocolError::InvalidRecord(
                 "user commands require a userAgent goal",
             ));
         };
-        let slot = self.slots.get_mut(&slot_id).expect("slot exists");
+        let slot = self.slots.get_mut(slot_id).expect("slot exists");
         Ok(agent
             .command(cmd, slot)?
             .into_iter()
@@ -510,17 +674,6 @@ impl MediaBox {
         mute_out: bool,
     ) -> Result<Vec<Outgoing>, ProtocolError> {
         self.user(slot_id, UserCmd::Modify { mute_in, mute_out })
-    }
-
-    fn take_two(&mut self, a: SlotId, b: SlotId) -> (Slot, Slot) {
-        let sa = self.slots.remove(&a).expect("slot a exists");
-        let sb = self.slots.remove(&b).expect("slot b exists");
-        (sa, sb)
-    }
-
-    fn put_two(&mut self, a: SlotId, sa: Slot, b: SlotId, sb: Slot) {
-        self.slots.insert(a, sa);
-        self.slots.insert(b, sb);
     }
 }
 
@@ -808,5 +961,99 @@ mod tests {
         b.remove_slot(SlotId(0));
         assert!(b.slot(SlotId(0)).is_none());
         assert!(b.goal_of(SlotId(1)).is_none());
+    }
+
+    fn hash_of<T: Hash>(t: &T) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        t.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn small_map_spills_into_a_tree_with_the_same_entries() {
+        let spill = u32::try_from(SPILL).unwrap();
+        let keys: Vec<u32> = (0..spill + 40).map(|i| (i * 7919) % 1000).collect();
+        let mut spilled = SmallMap::new();
+        for &k in &keys {
+            assert_eq!(spilled.insert(k, k * 2), None);
+        }
+        assert!(matches!(spilled, SmallMap::Tree(_)));
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        assert_eq!(spilled.keys().collect::<Vec<_>>(), sorted);
+        assert_eq!(spilled.insert(keys[3], 1), Some(keys[3] * 2));
+        assert_eq!(spilled.insert(keys[3], keys[3] * 2), Some(1));
+
+        // Below the spill size again, the tree equals, hashes and prints
+        // like a `Vec` map and an ordered map with the same entries.
+        for &k in &keys[..41] {
+            assert_eq!(spilled.remove(k), Some(k * 2));
+        }
+        let mut small = SmallMap::new();
+        let mut reference = BTreeMap::new();
+        for &k in keys[41..].iter().rev() {
+            small.insert(k, k * 2);
+            reference.insert(k, k * 2);
+        }
+        assert!(matches!(small, SmallMap::Vec(_)));
+        assert_eq!(spilled, small);
+        assert_eq!(hash_of(&spilled), hash_of(&small));
+        assert_eq!(hash_of(&small), hash_of(&reference));
+        assert_eq!(format!("{spilled:?}"), format!("{reference:?}"));
+        assert_eq!(format!("{small:?}"), format!("{reference:?}"));
+        small.remove(keys[50]);
+        assert_ne!(spilled, small);
+    }
+
+    #[test]
+    fn pair_mut_returns_values_in_argument_order_in_either_form() {
+        for n in [4, u32::try_from(SPILL).unwrap() + 4] {
+            let mut m = SmallMap::new();
+            for k in 0..n {
+                m.insert(k, k);
+            }
+            assert_eq!(matches!(m, SmallMap::Tree(_)), n as usize > SPILL);
+            let (hi, lo) = m.pair_mut(n - 1, 1);
+            assert_eq!((*hi, *lo), (n - 1, 1));
+            *hi = 100;
+            let (lo, hi) = m.pair_mut(1, n - 1);
+            assert_eq!((*lo, *hi), (1, 100));
+        }
+    }
+
+    #[test]
+    fn a_box_past_the_spill_size_forwards_through_a_flowlink() {
+        let mut b = MediaBox::new(BoxId(1));
+        let n = u16::try_from(SPILL).unwrap() + 8;
+        for i in 0..n {
+            b.add_slot(SlotId(i), true);
+        }
+        for i in 0..n - 2 {
+            b.set_goal(GoalSpec::Close { slot: SlotId(i) });
+        }
+        let (a, z) = (SlotId(n - 1), SlotId(2));
+        b.set_goal(GoalSpec::Link { a, b: z });
+        assert!(b
+            .goal_of(SlotId(2))
+            .is_some_and(|g| matches!(g, Goal::Link(_))));
+        assert_eq!(b.slot_ids().count(), usize::from(n));
+        assert!(b.slot_ids().zip(b.slot_ids().skip(1)).all(|(x, y)| x < y));
+        let desc = crate::descriptor::Descriptor::media(
+            crate::descriptor::TagSource::new(77).next(),
+            MediaAddr::v4(10, 0, 0, 9, 4000),
+            vec![crate::codec::Codec::G711],
+        );
+        let (out, _) = b.on_signal(
+            a,
+            Signal::Open {
+                medium: Medium::Audio,
+                desc,
+            },
+        );
+        assert!(out
+            .iter()
+            .any(|o| o.slot == z && matches!(o.signal, Signal::Open { .. })));
+        b.remove_slot(a);
+        assert!(b.goal_of(z).is_none());
     }
 }

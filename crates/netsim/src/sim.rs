@@ -4,7 +4,8 @@
 //! delay each message by the network latency *n*; each box takes the
 //! compute cost *c* to read a stimulus and compute the next signals to
 //! send, and processes stimuli serially (paper §VIII-C). All scheduling is
-//! deterministic: events are ordered by (time, sequence number).
+//! deterministic: events run in time order, and events due at the same
+//! instant run in the order they were scheduled.
 
 use crate::fault::{FaultPlan, FaultState, SendFate};
 use crate::time::{SimDuration, SimTime};
@@ -18,8 +19,8 @@ use ipmedia_obs::clock::ManualClock;
 use ipmedia_obs::ladder::{render, LadderEvent};
 use ipmedia_obs::trace::{SpanCtx, SpanSink, Tracer};
 use ipmedia_obs::{Fanout, NoopObserver, Observer};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// Timing parameters of the simulated deployment.
@@ -104,30 +105,11 @@ enum Ev {
 }
 
 struct Scheduled {
-    at: SimTime,
-    seq: u64,
     ev: Ev,
     /// Causal trace context the event carries (tracing enabled only).
-    /// Not part of the ordering key, so enabling tracing cannot change
-    /// the event schedule — the zero-perturbation guarantee.
+    /// Not part of the ordering, so enabling tracing cannot change the
+    /// event schedule — the zero-perturbation guarantee.
     ctx: Option<SpanCtx>,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 struct Node {
@@ -145,7 +127,13 @@ struct Node {
     down: bool,
     /// Retransmission layer, when enabled for this box.
     reliab: Option<Reliability>,
+    /// The id the box's next slot gets. Ids count up from 0 and wrap
+    /// after `u16::MAX`, reusing the ids of slots closed long before.
     next_slot: u16,
+    /// Outgoing routing, indexed by `SlotId.0`, so it never holds more
+    /// than 65,536 entries. A slot whose channel closed keeps its index
+    /// with `None`.
+    routes: Vec<Option<(ChannelId, TunnelId)>>,
 }
 
 struct Channel {
@@ -184,20 +172,15 @@ pub struct TraceEntry {
     pub what: String,
 }
 
-impl TraceEntry {
-    /// Compatibility accessor for the source box (the field predates
-    /// `from` and older call sites read it through this method).
-    pub fn source(&self) -> Option<BoxId> {
-        self.from
-    }
-}
-
 /// The simulated network of boxes and signaling channels.
 pub struct Network {
     cfg: SimConfig,
-    nodes: HashMap<BoxId, Node>,
+    /// Boxes indexed by `BoxId.0`; ids are dense and boxes are never
+    /// removed.
+    nodes: Vec<Node>,
     names: HashMap<String, BoxId>,
-    channels: HashMap<ChannelId, Channel>,
+    /// Channels indexed by `ChannelId.0`; a closed channel leaves `None`.
+    channels: Vec<Option<Channel>>,
     /// Per-channel fault injection; channels absent here are perfect.
     faults: HashMap<ChannelId, FaultState>,
     /// Active partitions, keyed by normalized box pair; flags block the
@@ -206,13 +189,12 @@ pub struct Network {
     partitions: HashMap<(BoxId, BoxId), (bool, bool)>,
     /// Active burst windows per channel; consulted before `faults`.
     bursts: HashMap<ChannelId, BurstState>,
-    /// (box, slot) → (channel, tunnel) for outgoing routing.
-    slot_route: HashMap<(BoxId, SlotId), (ChannelId, TunnelId)>,
-    events: BinaryHeap<Reverse<Scheduled>>,
+    /// Pending events, bucketed by due time. Each bucket is FIFO, so
+    /// events due at one instant run in the order they were pushed.
+    events: BTreeMap<SimTime, VecDeque<Scheduled>>,
+    /// Number of events across all buckets.
+    pending: usize,
     now: SimTime,
-    seq: u64,
-    next_box: u32,
-    next_channel: u32,
     pub trace_enabled: bool,
     trace: Vec<TraceEntry>,
     /// Unified observability sink; every protocol event in the simulation
@@ -232,18 +214,15 @@ impl Network {
     pub fn new(cfg: SimConfig) -> Self {
         Self {
             cfg,
-            nodes: HashMap::new(),
+            nodes: Vec::new(),
             names: HashMap::new(),
-            channels: HashMap::new(),
+            channels: Vec::new(),
             faults: HashMap::new(),
             partitions: HashMap::new(),
             bursts: HashMap::new(),
-            slot_route: HashMap::new(),
-            events: BinaryHeap::new(),
+            events: BTreeMap::new(),
+            pending: 0,
             now: SimTime::ZERO,
-            seq: 0,
-            next_box: 0,
-            next_channel: 0,
             trace_enabled: false,
             trace: Vec::new(),
             obs: Box::new(NoopObserver),
@@ -262,6 +241,14 @@ impl Network {
 
     pub fn trace(&self) -> &[TraceEntry] {
         &self.trace
+    }
+
+    fn node(&self, id: BoxId) -> &Node {
+        &self.nodes[id.0 as usize]
+    }
+
+    fn node_mut(&mut self, id: BoxId) -> &mut Node {
+        &mut self.nodes[id.0 as usize]
     }
 
     /// Install an observer; all subsequent simulation activity is reported
@@ -299,7 +286,7 @@ impl Network {
     /// its outputs should carry.
     #[allow(clippy::too_many_arguments)]
     fn trace_activation(
-        &mut self,
+        &self,
         to: BoxId,
         from: Option<BoxId>,
         ctx: Option<SpanCtx>,
@@ -308,7 +295,7 @@ impl Network {
         start: SimTime,
         done: SimTime,
     ) -> Option<SpanCtx> {
-        let tracer = self.tracer.as_ref()?.clone();
+        let tracer = self.tracer.as_ref()?;
         let (trace, parent) = match ctx {
             Some(c) => {
                 // A transit span only where something actually traversed
@@ -345,19 +332,15 @@ impl Network {
     /// column per box. Requires `trace_enabled` to have been set before
     /// the events of interest.
     pub fn ladder(&self) -> String {
-        let boxes = self.boxes();
-        let col: HashMap<BoxId, usize> = boxes
-            .iter()
-            .enumerate()
-            .map(|(i, (id, _))| (*id, i))
-            .collect();
-        let columns: Vec<&str> = boxes.iter().map(|(_, name)| name.as_str()).collect();
+        // Columns are boxes in id order, so a box's column is its id.
+        let col = |b: BoxId| b.0 as usize;
+        let columns: Vec<&str> = self.nodes.iter().map(|n| n.name.as_str()).collect();
         let events: Vec<LadderEvent> = self
             .trace
             .iter()
             .map(|t| match t.from {
-                Some(f) => LadderEvent::arrow(t.at.0, col[&f], col[&t.to], t.what.clone()),
-                None => LadderEvent::local(t.at.0, col[&t.to], t.what.clone()),
+                Some(f) => LadderEvent::arrow(t.at.0, col(f), col(t.to), t.what.clone()),
+                None => LadderEvent::local(t.at.0, col(t.to), t.what.clone()),
             })
             .collect();
         render(&columns, &events)
@@ -367,26 +350,23 @@ impl Network {
     /// scheduled at the current time.
     pub fn add_box(&mut self, name: impl Into<String>, logic: Box<dyn AppLogic>) -> BoxId {
         let name = name.into();
-        let id = BoxId(self.next_box);
-        self.next_box += 1;
+        let id = BoxId(u32::try_from(self.nodes.len()).expect("box ids exhausted"));
         assert!(
             self.names.insert(name.clone(), id).is_none(),
             "duplicate box name {name}"
         );
-        self.nodes.insert(
-            id,
-            Node {
-                pb: ProgramBox::new(id, logic),
-                name,
-                busy_until: SimTime::ZERO,
-                timer_gen: TimerGenerations::new(),
-                available: true,
-                terminated: false,
-                down: false,
-                reliab: None,
-                next_slot: 0,
-            },
-        );
+        self.nodes.push(Node {
+            pb: ProgramBox::new(id, logic),
+            name,
+            busy_until: SimTime::ZERO,
+            timer_gen: TimerGenerations::new(),
+            available: true,
+            terminated: false,
+            down: false,
+            reliab: None,
+            next_slot: 0,
+            routes: Vec::new(),
+        });
         self.push(
             self.now,
             Ev::Input {
@@ -401,7 +381,7 @@ impl Network {
     /// Mark a box unavailable: channel setup toward it reports
     /// `Peer(Unavailable)` and delivers no far-end `ChannelUp`.
     pub fn set_available(&mut self, id: BoxId, available: bool) {
-        self.nodes.get_mut(&id).expect("box exists").available = available;
+        self.node_mut(id).available = available;
     }
 
     /// Install a fault plan on a channel. Signals transmitted on the
@@ -414,7 +394,7 @@ impl Network {
     /// Enable the §VI retransmission/recovery layer on a box. Awaits
     /// already outstanding are armed immediately.
     pub fn enable_reliability(&mut self, id: BoxId, cfg: ReliableConfig) {
-        self.nodes.get_mut(&id).expect("box exists").reliab = Some(Reliability::new(cfg));
+        self.node_mut(id).reliab = Some(Reliability::new(cfg));
         let now = self.now;
         self.sync_reliability(id, now, None);
     }
@@ -507,32 +487,30 @@ impl Network {
     /// orientation), in channel-id order.
     pub fn channels_between(&self, a: BoxId, b: BoxId) -> Vec<ChannelId> {
         let key = pair_key(a, b);
-        let mut out: Vec<ChannelId> = self
-            .channels
-            .iter()
-            .filter(|(_, c)| pair_key(c.a, c.b) == key && c.a != c.b)
-            .map(|(&id, _)| id)
-            .collect();
-        out.sort_by_key(|c| c.0);
-        out
+        (0..)
+            .zip(&self.channels)
+            .filter(|(_, c)| {
+                c.as_ref()
+                    .is_some_and(|c| pair_key(c.a, c.b) == key && c.a != c.b)
+            })
+            .map(|(id, _)| ChannelId(id))
+            .collect()
     }
 
     /// True iff every slot of the box has converged (§VI quiescence: no
     /// unanswered open/close/describe).
     pub fn converged(&self, id: BoxId) -> bool {
-        reliable::converged(self.nodes[&id].pb.media())
+        reliable::converged(self.node(id).pb.media())
     }
 
     /// True iff every box in the network has converged.
     pub fn all_converged(&self) -> bool {
-        self.nodes
-            .values()
-            .all(|n| reliable::converged(n.pb.media()))
+        self.nodes.iter().all(|n| reliable::converged(n.pb.media()))
     }
 
     /// Slots of `id` that exhausted their retries and parked.
     pub fn parked_slots(&self, id: BoxId) -> Vec<SlotId> {
-        self.nodes[&id]
+        self.node(id)
             .reliab
             .as_ref()
             .map(|r| r.parked_slots().collect())
@@ -545,7 +523,7 @@ impl Network {
 
     /// Read access to a box's media layer (slots, goals) for assertions.
     pub fn media(&self, id: BoxId) -> &MediaBox {
-        self.nodes[&id].pb.media()
+        self.node(id).pb.media()
     }
 
     pub fn media_by_name(&self, name: &str) -> &MediaBox {
@@ -562,19 +540,15 @@ impl Network {
         b: BoxId,
         tunnels: u16,
     ) -> (ChannelId, Vec<SlotId>, Vec<SlotId>) {
-        let ch = ChannelId(self.next_channel);
-        self.next_channel += 1;
+        let ch = self.next_channel_id();
         let slots_a = self.alloc_slots(a, tunnels, true, ch);
         let slots_b = self.alloc_slots(b, tunnels, false, ch);
-        self.channels.insert(
-            ch,
-            Channel {
-                a,
-                b,
-                slots_a: slots_a.clone(),
-                slots_b: slots_b.clone(),
-            },
-        );
+        self.channels.push(Some(Channel {
+            a,
+            b,
+            slots_a: slots_a.clone(),
+            slots_b: slots_b.clone(),
+        }));
         self.push(
             self.now,
             Ev::Input {
@@ -602,6 +576,12 @@ impl Network {
         (ch, slots_a, slots_b)
     }
 
+    /// The id the next channel gets; the caller pushes the channel
+    /// before allocating another.
+    fn next_channel_id(&self) -> ChannelId {
+        ChannelId(u32::try_from(self.channels.len()).expect("channel ids exhausted"))
+    }
+
     fn alloc_slots(
         &mut self,
         owner: BoxId,
@@ -609,13 +589,17 @@ impl Network {
         initiator: bool,
         ch: ChannelId,
     ) -> Vec<SlotId> {
-        let node = self.nodes.get_mut(&owner).expect("box exists");
+        let node = self.node_mut(owner);
         let mut out = Vec::with_capacity(tunnels as usize);
         for t in 0..tunnels {
             let sid = SlotId(node.next_slot);
-            node.next_slot += 1;
+            node.next_slot = node.next_slot.wrapping_add(1);
             node.pb.media_mut().add_slot(sid, initiator);
-            self.slot_route.insert((owner, sid), (ch, TunnelId(t)));
+            let route = Some((ch, TunnelId(t)));
+            match node.routes.get_mut(usize::from(sid.0)) {
+                Some(r) => *r = route,
+                None => node.routes.push(route),
+            }
             out.push(sid);
         }
         out
@@ -663,18 +647,34 @@ impl Network {
     }
 
     fn push_traced(&mut self, at: SimTime, ev: Ev, ctx: Option<SpanCtx>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.events.push(Reverse(Scheduled { at, seq, ev, ctx }));
+        self.events
+            .entry(at)
+            .or_default()
+            .push_back(Scheduled { ev, ctx });
+        self.pending += 1;
+    }
+
+    /// Due time of the earliest pending event.
+    fn next_due(&self) -> Option<SimTime> {
+        self.events.first_key_value().map(|(&at, _)| at)
     }
 
     /// Process one event. Returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(sch)) = self.events.pop() else {
+        let Some(mut bucket) = self.events.first_entry() else {
             return false;
         };
-        debug_assert!(sch.at >= self.now);
-        self.now = sch.at;
+        let at = *bucket.key();
+        let sch = bucket
+            .get_mut()
+            .pop_front()
+            .expect("buckets are never empty");
+        if bucket.get().is_empty() {
+            bucket.remove();
+        }
+        self.pending -= 1;
+        debug_assert!(at >= self.now);
+        self.now = at;
         self.clock.set(self.now.0);
         if let Some(t) = &self.tracer {
             // Contexts never leak across events: anything observed outside
@@ -685,7 +685,7 @@ impl Network {
         match sch.ev {
             Ev::Input { to, input, from } => self.deliver(to, input, from, ctx),
             Ev::TimerFire { to, id, gen } => {
-                let Some(node) = self.nodes.get(&to) else {
+                let Some(node) = self.nodes.get(to.0 as usize) else {
                     return true;
                 };
                 if node.down || !node.timer_gen.is_current(id, gen) {
@@ -698,7 +698,7 @@ impl Network {
                 }
             }
             Ev::User { to, slot, cmd } => {
-                let Some(node) = self.nodes.get_mut(&to) else {
+                let Some(node) = self.nodes.get_mut(to.0 as usize) else {
                     return true;
                 };
                 if node.terminated {
@@ -720,7 +720,7 @@ impl Network {
                 } else {
                     None
                 };
-                let node = self.nodes.get_mut(&to).expect("checked above");
+                let node = &mut self.nodes[to.0 as usize];
                 self.obs.stimulus(to.0, "user");
                 match node.pb.media_mut().user_obs(slot, cmd, &mut self.obs) {
                     Ok(out) => {
@@ -731,7 +731,7 @@ impl Network {
                 }
             }
             Ev::Apply { to, f } => {
-                let Some(node) = self.nodes.get_mut(&to) else {
+                let Some(node) = self.nodes.get_mut(to.0 as usize) else {
                     return true;
                 };
                 let start = self.now.max(node.busy_until);
@@ -742,19 +742,19 @@ impl Network {
                 } else {
                     None
                 };
-                let node = self.nodes.get_mut(&to).expect("checked above");
+                let node = &mut self.nodes[to.0 as usize];
                 self.obs.stimulus(to.0, "apply");
                 let cmds = f(&mut node.pb);
                 self.execute(to, done, cmds, child);
             }
             Ev::Crash { to } => {
-                if let Some(node) = self.nodes.get_mut(&to) {
+                if let Some(node) = self.nodes.get_mut(to.0 as usize) {
                     node.down = true;
                     self.obs.fault_injected(to.0, "crash");
                 }
             }
             Ev::Restart { to } => {
-                if let Some(node) = self.nodes.get_mut(&to) {
+                if let Some(node) = self.nodes.get_mut(to.0 as usize) {
                     if !node.down {
                         return true;
                     }
@@ -802,8 +802,8 @@ impl Network {
     }
 
     fn deliver(&mut self, to: BoxId, input: BoxInput, from: Option<BoxId>, ctx: Option<SpanCtx>) {
-        let Some(node) = self.nodes.get_mut(&to) else {
-            return; // box gone (e.g. signal in flight past teardown)
+        let Some(node) = self.nodes.get_mut(to.0 as usize) else {
+            return; // no such box
         };
         if node.terminated || node.down {
             return; // crashed boxes lose their inputs
@@ -854,7 +854,13 @@ impl Network {
         node.busy_until = done;
         let child = if self.tracer.is_some() {
             let label = match &input {
-                BoxInput::Tunnel { slot, signal } => format!("?{} s{}", signal.kind(), slot.0),
+                BoxInput::Tunnel { slot, signal } => {
+                    // The commonest stimulus: one allocation sized for the
+                    // longest label, where `format!` would grow its buffer.
+                    let mut label = String::with_capacity(24);
+                    let _ = write!(label, "?{} s{}", signal.kind(), slot.0);
+                    label
+                }
                 BoxInput::Timer(_) => "timer".to_string(),
                 BoxInput::Meta { meta, .. } => format!("meta {}", meta.kind()),
                 BoxInput::ChannelUp { channel, .. } => format!("channel_up ch{}", channel.0),
@@ -865,7 +871,7 @@ impl Network {
         } else {
             None
         };
-        let node = self.nodes.get_mut(&to).expect("checked above");
+        let node = &mut self.nodes[to.0 as usize];
         let mut cmds = node.pb.handle_obs(input, &mut self.obs);
         cmds.extend(reack);
         self.execute(to, done, cmds, child);
@@ -876,16 +882,16 @@ impl Network {
         for cmd in cmds {
             match cmd {
                 BoxCmd::Signal(out) => {
-                    let Some(&(ch, tunnel)) = self.slot_route.get(&(from, out.slot)) else {
+                    let Some((ch, tunnel)) = self.route(from, out.slot) else {
                         continue; // channel died under us
                     };
-                    let Some(channel) = self.channels.get(&ch) else {
+                    let Some(channel) = self.channel(ch) else {
                         continue;
                     };
                     let (peer, peer_slot) = peer_of(channel, from, tunnel);
                     // If the peer never came up (unavailable target), the
                     // signal vanishes into the void.
-                    if !self.nodes.contains_key(&peer) {
+                    if peer.0 as usize >= self.nodes.len() {
                         continue;
                     }
                     // The routing layer is the one place every transmitted
@@ -951,7 +957,7 @@ impl Network {
                     }
                 }
                 BoxCmd::Meta { channel, meta } => {
-                    let Some(chan) = self.channels.get(&channel) else {
+                    let Some(chan) = self.channel(channel) else {
                         continue;
                     };
                     let peer = if chan.a == from { chan.b } else { chan.a };
@@ -976,21 +982,15 @@ impl Network {
                 }
                 BoxCmd::CloseChannel(ch) => self.close_channel(from, ch, done),
                 BoxCmd::SetTimer { id, after_ms } => {
-                    let node = self.nodes.get_mut(&from).expect("box exists");
-                    let gen = node.timer_gen.arm(id);
+                    let gen = self.node_mut(from).timer_gen.arm(id);
                     self.push_traced(
                         done + SimDuration::from_millis(after_ms),
                         Ev::TimerFire { to: from, id, gen },
                         ctx,
                     );
                 }
-                BoxCmd::CancelTimer(id) => {
-                    let node = self.nodes.get_mut(&from).expect("box exists");
-                    node.timer_gen.cancel(id);
-                }
-                BoxCmd::Terminate => {
-                    self.nodes.get_mut(&from).expect("box exists").terminated = true;
-                }
+                BoxCmd::CancelTimer(id) => self.node_mut(from).timer_gen.cancel(id),
+                BoxCmd::Terminate => self.node_mut(from).terminated = true,
             }
         }
         // Any activity can create or resolve awaits; reconcile the box's
@@ -1005,9 +1005,7 @@ impl Network {
     /// new ones.
     fn sync_reliability(&mut self, id: BoxId, done: SimTime, ctx: Option<SpanCtx>) {
         let now_ms = self.now.0 / 1_000;
-        let Some(node) = self.nodes.get_mut(&id) else {
-            return;
-        };
+        let node = self.node_mut(id);
         let Some(rel) = node.reliab.as_mut() else {
             return;
         };
@@ -1023,9 +1021,7 @@ impl Network {
     /// A retransmission timer fired: re-emit the slot's cached signals and
     /// re-arm with backoff, or park the slot once retries are exhausted.
     fn retransmit_fire(&mut self, to: BoxId, id: TimerId, ctx: Option<SpanCtx>) {
-        let Some(node) = self.nodes.get_mut(&to) else {
-            return;
-        };
+        let node = &mut self.nodes[to.0 as usize];
         if node.terminated || node.down {
             return;
         }
@@ -1092,11 +1088,10 @@ impl Network {
         let available = target
             .map(|t| {
                 let (ab, ba) = self.partition_between(from, t);
-                self.nodes[&t].available && !ab && !ba
+                self.node(t).available && !ab && !ba
             })
             .unwrap_or(false);
-        let ch = ChannelId(self.next_channel);
-        self.next_channel += 1;
+        let ch = self.next_channel_id();
         let slots_from = self.alloc_slots(from, tunnels, true, ch);
 
         // One-way setup message + acknowledgement: the requester learns the
@@ -1127,15 +1122,12 @@ impl Network {
         };
         if let (Some(target), true) = (target, available) {
             let slots_to = self.alloc_slots(target, tunnels, false, ch);
-            self.channels.insert(
-                ch,
-                Channel {
-                    a: from,
-                    b: target,
-                    slots_a: slots_from.clone(),
-                    slots_b: slots_to.clone(),
-                },
-            );
+            self.channels.push(Some(Channel {
+                a: from,
+                b: target,
+                slots_a: slots_from.clone(),
+                slots_b: slots_to.clone(),
+            }));
             self.push_traced(
                 done + self.cfg.net_latency,
                 Ev::Input {
@@ -1177,16 +1169,13 @@ impl Network {
         } else {
             // Target missing or unavailable: a half-open channel the
             // requester can observe and destroy (Fig. 6's busy branch).
-            self.channels.insert(
-                ch,
-                Channel {
-                    a: from,
-                    b: from, // no far end; peer lookups resolve to self and
-                    // are suppressed by the empty slots_b
-                    slots_a: slots_from.clone(),
-                    slots_b: Vec::new(),
-                },
-            );
+            self.channels.push(Some(Channel {
+                a: from,
+                b: from, // no far end; peer lookups resolve to self and
+                // are suppressed by the empty slots_b
+                slots_a: slots_from.clone(),
+                slots_b: Vec::new(),
+            }));
             self.push_traced(
                 up_at,
                 Ev::Input {
@@ -1216,27 +1205,33 @@ impl Network {
     }
 
     fn close_channel(&mut self, from: BoxId, ch: ChannelId, done: SimTime) {
-        let Some(channel) = self.channels.remove(&ch) else {
+        // Only an end of the channel may close it; a request from any
+        // other box is ignored.
+        let Some(entry) = self
+            .channels
+            .get_mut(ch.0 as usize)
+            .filter(|c| c.as_ref().is_some_and(|c| c.a == from || c.b == from))
+        else {
             return;
         };
+        let channel = entry.take().expect("checked above");
         // Remove local slots now; notify and remove the peer's after n.
         let (local_slots, peer, peer_slots) = if channel.a == from {
             (channel.slots_a, channel.b, channel.slots_b)
         } else {
             (channel.slots_b, channel.a, channel.slots_a)
         };
-        if let Some(node) = self.nodes.get_mut(&from) {
-            for s in &local_slots {
-                node.pb.media_mut().remove_slot(*s);
-                self.slot_route.remove(&(from, *s));
-            }
+        let node = self.node_mut(from);
+        for s in &local_slots {
+            node.pb.media_mut().remove_slot(*s);
+            node.routes[s.0 as usize] = None;
         }
         if peer != from && !peer_slots.is_empty() {
-            // Schedule the far-end teardown: slots die when ChannelDown is
-            // processed (handled in deliver path below via a closure-less
-            // special input).
+            // Schedule the far-end teardown: the peer's slots stop routing
+            // now and die when the closure below delivers ChannelDown.
+            let node = self.node_mut(peer);
             for s in &peer_slots {
-                self.slot_route.remove(&(peer, *s));
+                node.routes[s.0 as usize] = None;
             }
             let slots = peer_slots;
             self.push(
@@ -1252,16 +1247,12 @@ impl Network {
                 },
             );
         }
-        let _ = done;
     }
 
     /// Run until the event queue is empty or virtual time exceeds `max`.
     /// Returns the final virtual time.
     pub fn run_until_quiescent(&mut self, max: SimTime) -> SimTime {
-        while let Some(Reverse(next)) = self.events.peek() {
-            if next.at > max {
-                break;
-            }
+        while self.next_due().is_some_and(|at| at <= max) {
             self.step();
         }
         self.now
@@ -1274,8 +1265,8 @@ impl Network {
             if pred(self) {
                 return true;
             }
-            match self.events.peek() {
-                Some(Reverse(next)) if next.at <= max => {
+            match self.next_due() {
+                Some(at) if at <= max => {
                     self.step();
                 }
                 _ => return false,
@@ -1288,31 +1279,42 @@ impl Network {
     /// Latency measurements use it as the completion instant of the state
     /// change observed by a `run_until` predicate.
     pub fn busy_until(&self, id: BoxId) -> SimTime {
-        self.nodes[&id].busy_until
+        self.node(id).busy_until
     }
 
     /// Advance virtual time with nothing happening (boxes go idle). Only
     /// legal when no events are pending; used to separate setup from a
     /// measured phase so setup compute time does not queue-delay it.
     pub fn advance(&mut self, d: SimDuration) {
-        assert_eq!(self.events.len(), 0, "advance requires a quiescent network");
+        assert_eq!(self.pending, 0, "advance requires a quiescent network");
         self.now += d;
     }
 
-    /// Names and ids of all boxes (deterministic order).
+    /// Names and ids of all boxes, in id order.
     pub fn boxes(&self) -> Vec<(BoxId, String)> {
-        let mut v: Vec<_> = self
-            .nodes
-            .iter()
-            .map(|(id, n)| (*id, n.name.clone()))
-            .collect();
-        v.sort();
-        v
+        (0..)
+            .zip(&self.nodes)
+            .map(|(id, n)| (BoxId(id), n.name.clone()))
+            .collect()
     }
 
     /// Count of pending events (for quiescence checks in tests).
     pub fn pending_events(&self) -> usize {
-        self.events.len()
+        self.pending
+    }
+
+    /// The live channel with this id.
+    fn channel(&self, ch: ChannelId) -> Option<&Channel> {
+        self.channels.get(ch.0 as usize)?.as_ref()
+    }
+
+    /// Where a box's slot routes to, while its channel is open.
+    fn route(&self, from: BoxId, slot: SlotId) -> Option<(ChannelId, TunnelId)> {
+        *self
+            .nodes
+            .get(from.0 as usize)?
+            .routes
+            .get(slot.0 as usize)?
     }
 }
 
@@ -1334,5 +1336,242 @@ fn peer_of(channel: &Channel, from: BoxId, tunnel: TunnelId) -> (BoxId, SlotId) 
 /// Extract one tunnel signal destination for `Signal` commands; used by
 /// tests needing visibility into routing.
 pub fn route_of(net: &Network, from: BoxId, slot: SlotId) -> Option<(ChannelId, TunnelId)> {
-    net.slot_route.get(&(from, slot)).copied()
+    net.route(from, slot)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ipmedia_core::endpoint::NullLogic;
+    use ipmedia_core::program::Ctx;
+    use ipmedia_core::signal::Signal;
+    use std::sync::Mutex;
+
+    type Log = Arc<Mutex<Vec<String>>>;
+
+    /// Logs every timer it is handed, tagged with its own name.
+    struct TimerLog(&'static str, Log);
+
+    impl AppLogic for TimerLog {
+        fn handle(&mut self, input: &BoxInput, _ctx: &mut Ctx<'_>) {
+            if let BoxInput::Timer(id) = input {
+                self.1
+                    .lock()
+                    .unwrap()
+                    .push(format!("{}:timer{}", self.0, id.0));
+            }
+        }
+    }
+
+    /// A closure that logs `tag` when dispatched and sets a zero-delay
+    /// timer, whose fire is pushed onto the instant being dispatched.
+    fn logging(
+        log: &Log,
+        tag: &'static str,
+        timer: u32,
+    ) -> impl FnOnce(&mut ProgramBox) -> Vec<BoxCmd> + Send + 'static {
+        let log = log.clone();
+        move |_| {
+            log.lock().unwrap().push(tag.to_string());
+            vec![BoxCmd::SetTimer {
+                id: TimerId(timer),
+                after_ms: 0,
+            }]
+        }
+    }
+
+    fn close_on(net: &mut Network, from: BoxId, slot: SlotId) {
+        net.apply(from, move |_| {
+            vec![BoxCmd::Signal(Outgoing {
+                slot,
+                signal: Signal::Close,
+            })]
+        });
+    }
+
+    fn tunnel_deliveries(net: &Network) -> Vec<(Option<BoxId>, BoxId, String)> {
+        net.trace()
+            .iter()
+            .filter(|t| t.what.starts_with("slot"))
+            .map(|t| (t.from, t.to, t.what.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn same_instant_events_dispatch_in_push_order() {
+        let log: Log = Arc::default();
+        let mut net = Network::new(SimConfig::instant());
+        let boxes: Vec<BoxId> = ["b0", "b1", "b2"]
+            .into_iter()
+            .map(|n| net.add_box(n, Box::new(TimerLog(n, log.clone()))))
+            .collect();
+        net.run_until_quiescent(SimTime::ZERO);
+        let (t1, t2) = (SimTime(1_000), SimTime(2_000));
+        // Pushes interleave two instants and three boxes; the later
+        // instant is pushed first.
+        net.apply_at(t2, boxes[1], logging(&log, "t2-first", 10));
+        net.apply_at(t1, boxes[2], logging(&log, "t1-first", 20));
+        net.apply_at(t2, boxes[0], logging(&log, "t2-second", 11));
+        net.apply_at(t1, boxes[0], logging(&log, "t1-second", 21));
+        net.apply_at(t1, boxes[1], logging(&log, "t1-third", 22));
+        net.apply_at(t2, boxes[2], logging(&log, "t2-third", 12));
+        assert_eq!(net.pending_events(), 6);
+        net.run_until_quiescent(SimTime(10_000));
+        assert_eq!(net.pending_events(), 0);
+        // Timer fires pushed while an instant is dispatched join the back
+        // of that instant, behind everything already due then.
+        let want = [
+            "t1-first",
+            "t1-second",
+            "t1-third",
+            "b2:timer20",
+            "b0:timer21",
+            "b1:timer22",
+            "t2-first",
+            "t2-second",
+            "t2-third",
+            "b1:timer10",
+            "b0:timer11",
+            "b2:timer12",
+        ];
+        assert_eq!(*log.lock().unwrap(), want);
+    }
+
+    #[test]
+    fn signal_on_a_closed_channel_is_dropped() {
+        let mut net = Network::new(SimConfig::paper());
+        let a = net.add_box("a", Box::new(NullLogic));
+        let b = net.add_box("b", Box::new(NullLogic));
+        let (ch, sa, sb) = net.connect(a, b, 1);
+        net.run_until_quiescent(SimTime(1_000_000));
+        net.trace_enabled = true;
+        net.apply(a, move |_| vec![BoxCmd::CloseChannel(ch)]);
+        net.step();
+        // Both ends stop routing at once; the far end's slot dies when
+        // the teardown reaches it.
+        assert_eq!(route_of(&net, a, sa[0]), None);
+        assert_eq!(route_of(&net, b, sb[0]), None);
+        assert!(net.media(a).slot(sa[0]).is_none());
+        assert!(net.media(b).slot(sb[0]).is_some());
+        close_on(&mut net, b, sb[0]);
+        close_on(&mut net, a, sa[0]);
+        net.run_until_quiescent(SimTime(2_000_000));
+        assert!(net.media(b).slot(sb[0]).is_none());
+        assert_eq!(net.channels_between(a, b), vec![]);
+        assert_eq!(tunnel_deliveries(&net), vec![]);
+    }
+
+    #[test]
+    fn slots_allocated_after_a_close_route_to_their_peer() {
+        let mut net = Network::new(SimConfig::paper());
+        let a = net.add_box("a", Box::new(NullLogic));
+        let b = net.add_box("b", Box::new(NullLogic));
+        let c = net.add_box("c", Box::new(NullLogic));
+        let (ch0, sa0, _) = net.connect(a, b, 2);
+        net.run_until_quiescent(SimTime(1_000_000));
+        net.apply(a, move |_| vec![BoxCmd::CloseChannel(ch0)]);
+        net.run_until_quiescent(SimTime(2_000_000));
+        assert_eq!(route_of(&net, a, sa0[1]), None);
+
+        let (ch1, sa1, sc1) = net.connect(a, c, 1);
+        let (ch2, sa2, sb2) = net.connect(a, b, 2);
+        // Slot ids keep counting past the closed channel's.
+        assert_eq!(sa1, vec![SlotId(2)]);
+        assert_eq!(sa2, vec![SlotId(3), SlotId(4)]);
+        assert_eq!(sb2, vec![SlotId(2), SlotId(3)]);
+        assert_eq!(route_of(&net, a, sa1[0]), Some((ch1, TunnelId(0))));
+        assert_eq!(route_of(&net, a, sa2[1]), Some((ch2, TunnelId(1))));
+        assert_eq!(route_of(&net, b, sb2[0]), Some((ch2, TunnelId(0))));
+        net.run_until_quiescent(SimTime(3_000_000));
+
+        net.trace_enabled = true;
+        close_on(&mut net, a, sa1[0]);
+        close_on(&mut net, a, sa2[1]);
+        net.run_until_quiescent(SimTime(4_000_000));
+        let to_peers: Vec<_> = tunnel_deliveries(&net)
+            .into_iter()
+            .filter(|(from, _, _)| *from == Some(a))
+            .map(|(_, to, what)| (to, what))
+            .collect();
+        assert_eq!(
+            to_peers,
+            vec![
+                (c, format!("{}:close", sc1[0])),
+                (b, format!("{}:close", sb2[1])),
+            ]
+        );
+    }
+
+    #[test]
+    fn boxes_and_channels_list_in_ascending_id_order() {
+        let mut net = Network::new(SimConfig::instant());
+        let z = net.add_box("z", Box::new(NullLogic));
+        let m = net.add_box("m", Box::new(NullLogic));
+        let a = net.add_box("a", Box::new(NullLogic));
+        assert_eq!(
+            net.boxes(),
+            vec![(z, "z".into()), (m, "m".into()), (a, "a".into())]
+        );
+        assert_eq!((z, m, a), (BoxId(0), BoxId(1), BoxId(2)));
+
+        let (c0, ..) = net.connect(m, z, 1);
+        let (c1, ..) = net.connect(z, a, 1);
+        let (c2, ..) = net.connect(z, m, 1);
+        let (c3, ..) = net.connect(m, z, 1);
+        net.run_until_quiescent(SimTime(1_000));
+        assert_eq!(net.channels_between(z, m), vec![c0, c2, c3]);
+        assert_eq!(net.channels_between(m, z), vec![c0, c2, c3]);
+        assert_eq!(net.channels_between(a, z), vec![c1]);
+        net.apply(z, move |_| vec![BoxCmd::CloseChannel(c2)]);
+        net.run_until_quiescent(SimTime(2_000));
+        assert_eq!(net.channels_between(m, z), vec![c0, c3]);
+    }
+
+    #[test]
+    fn a_box_off_the_channel_cannot_close_it() {
+        let mut net = Network::new(SimConfig::paper());
+        let a = net.add_box("a", Box::new(NullLogic));
+        let b = net.add_box("b", Box::new(NullLogic));
+        let c = net.add_box("c", Box::new(NullLogic));
+        // `c` has no slots, while the channel's slot ids on `b` are past
+        // any `c` could index.
+        let _ = net.connect(a, b, 3);
+        let (ch, sa, sb) = net.connect(a, b, 2);
+        net.run_until_quiescent(SimTime(1_000_000));
+        net.apply(c, move |_| vec![BoxCmd::CloseChannel(ch)]);
+        net.run_until_quiescent(SimTime(2_000_000));
+        assert_eq!(route_of(&net, a, sa[1]), Some((ch, TunnelId(1))));
+        assert_eq!(route_of(&net, b, sb[1]), Some((ch, TunnelId(1))));
+        assert!(net.media(b).slot(sb[1]).is_some());
+        assert_eq!(net.channels_between(a, b).len(), 2);
+    }
+
+    #[test]
+    fn slot_ids_wrap_and_reuse_the_ids_of_closed_slots() {
+        let mut net = Network::new(SimConfig::paper());
+        let a = net.add_box("a", Box::new(NullLogic));
+        let b = net.add_box("b", Box::new(NullLogic));
+        let c = net.add_box("c", Box::new(NullLogic));
+        let (ch0, sa0, _) = net.connect(a, b, u16::MAX);
+        assert_eq!(sa0.last(), Some(&SlotId(u16::MAX - 1)));
+        net.run_until_quiescent(SimTime(1_000_000));
+        net.apply(a, move |_| vec![BoxCmd::CloseChannel(ch0)]);
+        net.run_until_quiescent(SimTime(2_000_000));
+
+        let (ch1, sa1, sc1) = net.connect(a, c, 2);
+        assert_eq!(sa1, vec![SlotId(u16::MAX), SlotId(0)]);
+        assert_eq!(route_of(&net, a, SlotId(0)), Some((ch1, TunnelId(1))));
+        assert_eq!(route_of(&net, a, SlotId(1)), None);
+        net.run_until_quiescent(SimTime(3_000_000));
+        net.trace_enabled = true;
+        close_on(&mut net, a, SlotId(0));
+        net.run_until_quiescent(SimTime(4_000_000));
+        assert_eq!(
+            tunnel_deliveries(&net),
+            vec![
+                (Some(a), c, format!("{}:close", sc1[1])),
+                (Some(c), a, format!("{}:closeack", sa1[1])),
+            ]
+        );
+    }
 }

@@ -26,6 +26,7 @@
 use crate::clock::Clock;
 use crate::export::{json_array, JsonObj};
 use crate::Observer;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -302,11 +303,11 @@ impl Observer for TracingObserver {
         to: &'static str,
         cause: &'static str,
     ) {
-        self.tracer.instant(
-            bx,
-            "slot_transition",
-            format!("s{slot}:{from}->{to} ({cause})"),
-        );
+        // The commonest observed span: one allocation sized for the
+        // longest label, where `format!` would grow its buffer.
+        let mut label = String::with_capacity(48);
+        let _ = write!(label, "s{slot}:{from}->{to} ({cause})");
+        self.tracer.instant(bx, "slot_transition", label);
     }
 
     fn race_resolved(&mut self, bx: u32, slot: u16, won: bool) {

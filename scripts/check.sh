@@ -18,14 +18,22 @@ cargo clippy "$@" --workspace --all-targets -- -D warnings
 echo "== cargo test" >&2
 cargo test "$@" --workspace -q
 
-echo "== benchmark unit tests and checker smoke (oracle only, no timing gate)" >&2
+echo "== benchmark unit tests and workload smokes (oracle only, no timing gate)" >&2
 # The benchmark (perfbench/) is a package of its own, outside the
-# workspace. Its unit tests cover the oracles and the replay; the short
-# mck_verify run must exit 0, i.e. reproduce the pinned counts and pass
-# verdicts at 1 and 2 threads. Its throughput figures are not gated.
+# workspace. Its unit tests cover the oracles and the replay; each short
+# run must exit 0. mck_verify must reproduce the pinned counts and pass
+# verdicts at 1 and 2 threads; netsim_storm and netsim_lossy must
+# establish and reconverge every call, end converged and give the same
+# digest in every round. Throughput figures are not gated.
 cargo test "$@" --release -q --manifest-path perfbench/Cargo.toml
-cargo run "$@" --release -q --manifest-path perfbench/Cargo.toml -- \
-  --workload mck_verify --seconds 3 >/dev/null
+for workload in mck_verify netsim_storm netsim_lossy; do
+  cargo run "$@" --release -q --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seconds 3 >/dev/null || {
+    status=$?
+    echo "perfbench $workload smoke failed its oracle (exit $status)" >&2
+    exit "$status"
+  }
+done
 
 echo "== ipmedia-lint (static analysis over all example models)" >&2
 # All passes (AZ1xx–AZ6xx) at deny level, parallel with deterministic
@@ -209,19 +217,20 @@ timeout "$CHAOS_BUDGET_SECS" ./target/release/chaos_campaign --threads "$(nproc)
 }
 
 if [ -n "${STORM_BUDGET_SECS:-}" ]; then
-  echo "== call storm (fleet-scale load harness, sharded rt speedup gate)" >&2
+  echo "== call storm (fleet-scale load harness, byte budget, sharded rt speedup gate)" >&2
   # Opt-in: the storm rewrites BENCH_storm.json with wall-clock fields
   # (calls/sec, peak bytes), so it only runs when a budget is set —
   # normal CI runs stay byte-stable. The bin itself fails if any arm
-  # leaves a call unestablished or the sharded rt pipeline is less than
-  # 2x the single-inbox baseline measured in the same process.
+  # leaves a call unestablished, a netsim call costs more than 8 KB of
+  # heap, or the sharded rt pipeline is less than 2x the single-inbox
+  # baseline measured in the same process.
   cargo build "$@" --release -q -p ipmedia-bench --bin call_storm
   timeout "$STORM_BUDGET_SECS" ./target/release/call_storm >/dev/null || {
     status=$?
     if [ "$status" -eq 124 ]; then
       echo "call storm exceeded the ${STORM_BUDGET_SECS}s wall-clock budget" >&2
     else
-      echo "call storm failed an arm or the speedup gate (exit $status)" >&2
+      echo "call storm failed an arm, the byte budget or the speedup gate (exit $status)" >&2
     fi
     exit "$status"
   }
